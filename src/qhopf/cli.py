@@ -80,6 +80,17 @@ def _to_int(value):
     return int(value)
 
 
+def _int_flag(vals, key, default):
+    """An integer flag or config key; 0 is a valid value, negatives are not."""
+    value = _to_int(vals.get(key))
+    if value is None:
+        return default
+    if value < 0:
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
 class _Values:
     """Merged view of CLI flags over the optional JSON config."""
 
@@ -172,6 +183,8 @@ def _resolve_params(vals):
 
 def _sector_limit(requested):
     cap = int(os.environ.get("QHOPF_MAX_SECTOR", str(DEFAULT_SECTOR_CAP)))
+    if cap < 0:
+        raise UsageError(f"QHOPF_MAX_SECTOR must be non-negative, got {cap}")
     return min(requested, cap), cap
 
 
@@ -209,10 +222,10 @@ def _cmd_classify(vals):
 
 
 def _cmd_verify_hopf(vals):
-    params, _ = _resolve_params(vals)
-    max_order = _to_int(vals.get("max_order")) or 6
-    if not 0 <= max_order <= 12:
+    max_order = _int_flag(vals, "max_order", 6)
+    if max_order > 12:
         raise UsageError("--max-order must lie in 0..12")
+    params, _ = _resolve_params(vals)
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
     rep.extend(algebra.check_axioms(), prefix="hopf/")
@@ -223,7 +236,7 @@ def _cmd_verify_hopf(vals):
 
 
 def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
-    requested = _to_int(vals.get("max_sector")) or 6
+    requested = _int_flag(vals, "max_sector", 6)
     m_max, cap = _sector_limit(requested)
     rep = CheckReport()
     if oh_singh_mode:
@@ -258,8 +271,8 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
 
 
 def _cmd_tabulate(vals, out):
+    n_max = _int_flag(vals, "n_max", 10)
     params, _ = _resolve_params(vals)
-    n_max = _to_int(vals.get("n_max")) or 10
     g = g_function(params)
     f = structure_function(params)
     w = coproduct_weights(params)

@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .expalg import ExpPoly
 from .hopf import (HopfParams, antipode_weights, build_params, coproduct_weights,
                    g_function)
@@ -377,8 +375,8 @@ def param_map_inverse(p, eps_max=20.0):
 
     (xi, gamma1, G(0)) over-determine (eps, alpha, beta) only through
     xi = alpha*eps; eliminating beta gives cosh(eps/2) = cosh(xi gamma1)/G(0),
-    solved for eps on (0, eps_max] by bracketed root finding, then
-    alpha = xi/eps and beta = alpha gamma1 - 1/2.
+    whose positive root eps = 2 acosh(cosh(xi gamma1)/G(0)) must lie below
+    eps_max; then alpha = xi/eps and beta = alpha gamma1 - 1/2.
     """
     if p.branch != "generic":
         raise ValueError("inverse map needs the generic branch")
@@ -397,8 +395,7 @@ def param_map_inverse(p, eps_max=20.0):
         raise ValueError("G(0) >= cosh(xi gamma1): not in the image of the forward map")
     if target >= math.cosh(eps_max / 2):
         raise ValueError(f"required eps exceeds the search bound {eps_max}")
-    eps = brentq(lambda e: math.cosh(e / 2) - target, 1e-12, eps_max, xtol=1e-15,
-                 rtol=8.9e-16)
+    eps = 2 * math.acosh(target)
     alpha = xi / eps
     beta = alpha * g1 - 0.5
     return OhSinghParams(eps, alpha, beta, k)

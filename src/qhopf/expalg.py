@@ -278,14 +278,19 @@ class ExpPoly:
         cur = self
         for _ in range(order):
             raw = {}
+            gain = 0.0
             for key, c in cur.terms.items():
                 mu, k = key[var]
+                gain = max(gain, abs(mu) + k)
                 if mu != 0:
                     raw[key] = raw.get(key, 0j) + c * mu
                 if k > 0:
                     kd = key[:var] + ((mu, k - 1),) + key[var + 1:]
                     raw[kd] = raw.get(kd, 0j) + c * k
-            cur = ExpPoly(cur.arity, raw, scale=cur.scale)
+            # A derivative scales each coefficient, and the roundoff it carries,
+            # by at most |mu| + k; keeping the undifferentiated scale would prune
+            # true high-order derivatives of slowly varying terms as zero.
+            cur = ExpPoly(cur.arity, raw, scale=cur.scale * gain)
         return cur
 
     def conj(self):

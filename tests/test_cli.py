@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -194,3 +197,62 @@ def test_exit_code_matches_overall(capsys):
                        "--gamma1", "0.7", "--format", "json")
     report = json.loads(out)
     assert (code == 0) == (report["overall"] == "pass")
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, qhopf.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
+
+
+def test_max_order_zero_is_honoured(capsys):
+    code, out, _ = run(capsys, "verify-hopf", "--kappa1", "0.3", "--kappa2", "-0.3",
+                       "--gamma1", "0.8", "--k", "0", "--max-order", "0")
+    assert code == 0
+    assert "g/g-recursion[A<=2]" in out
+
+
+def test_n_max_zero_gives_one_row(capsys):
+    code, out, _ = run(capsys, "tabulate", "--kappa1", "0.5", "--kappa2", "0.1",
+                       "--gamma1", "0.7", "--n-max", "0")
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if "," in ln]
+    assert len(lines) == 1 + 1
+    assert lines[1].startswith("0,")
+
+
+def test_max_sector_zero_runs_sector_zero_only(capsys):
+    code, out, _ = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
+                       "0.1", "--gamma1", "0.7", "--max-sector", "0",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["max_sector"] == 0
+    names = [c["name"] for c in report["checks"]]
+    assert "ybe/yang-baxter[M=0]" in names
+    assert all("[M=0]" in n for n in names)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-rmatrix", "--max-sector", "-1"),
+    ("verify-rmatrix", "--oh-singh", "--max-sector", "-1"),
+    ("tabulate", "--n-max", "-3"),
+    ("verify-hopf", "--max-order", "-1"),
+])
+def test_negative_integer_flags_exit_two(capsys, argv):
+    params = (("--eps", "0.5", "--alpha", "1.2") if "--oh-singh" in argv
+              else ("--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"))
+    code, out, err = run(capsys, *argv, *params)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "non-negative" in err
+
+
+def test_negative_env_sector_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("QHOPF_MAX_SECTOR", "-1")
+    code, _, err = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
+                       "0.1", "--gamma1", "0.7")
+    assert code == 2
+    assert "QHOPF_MAX_SECTOR" in err

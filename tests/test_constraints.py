@@ -38,6 +38,16 @@ def test_ci_negative_control_affine_coefficient(generic_params):
             assert "A=1, B=1" in (c.witness or "")
 
 
+def test_ci_conditions_pass_on_slowly_varying_coefficient():
+    # kappa2 ~ 0.099: the order-12 derivative of raise_left is ~1e-12 of the
+    # function itself and must not be pruned as roundoff
+    p = build_params(0.5127407229858828, 0.09922980746520156, 0.6926317242338578,
+                     0.9992487354494746)
+    rep = verify_ci_conditions(p)
+    assert rep.passed, [(c.name, c.residual) for c in rep.failures()]
+    assert rep.max_residual() < 1e-14
+
+
 def test_normalization_example(generic_params):
     w = coproduct_weights(generic_params)
     assert w.lower_right(-generic_params.gamma) == pytest.approx(1.0)
@@ -192,10 +202,28 @@ def test_round_trip_on_random_inputs():
         assert back.k == o.k
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1.0001e-3, 19.9])
+def test_round_trip_at_extreme_eps(eps):
+    # eps = 2 acosh(target) is worst conditioned near target = 1 (small eps)
+    for alpha, beta, k in [(1.2, 0.3, 0), (-0.7, -0.4, 1), (0.3, 1.5, -1)]:
+        o = OhSinghParams(eps, alpha, beta, k)
+        back = param_map_inverse(param_map_oh_singh(o))
+        r = max(abs(back.eps - o.eps), abs(back.alpha - o.alpha),
+                abs(back.beta - o.beta), abs(back.k - o.k))
+        assert r <= 1e-9, (o, back, r)
+
+
 def test_inverse_rejects_out_of_image():
     p = proposition1_params(0.6, 0.8, 0, g0=5.0)  # G(0) > cosh(xi gamma1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in the image of the forward map"):
         param_map_inverse(p)
+
+
+def test_inverse_rejects_eps_beyond_bound():
+    p = param_map_oh_singh(OhSinghParams(21.0, 0.1, 0.3, 0))
+    with pytest.raises(ValueError, match="required eps exceeds the search bound 20.0"):
+        param_map_inverse(p)
+    assert param_map_inverse(p, eps_max=22.0).eps == pytest.approx(21.0, rel=1e-12)
 
 
 def test_q_number_identity_random():

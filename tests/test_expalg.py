@@ -77,6 +77,13 @@ def test_diff_exponential():
     assert f.diff() == f * 0.45
 
 
+def test_high_order_diff_of_slow_exponential_is_not_pruned():
+    f = ExpPoly.exponential(0.05)
+    d = f.diff(order=12)
+    assert not d.is_zero()
+    assert d(0) == pytest.approx(0.05**12, rel=1e-12)
+
+
 def test_diff_matches_sinh_family_derivatives():
     # G(N) = G(0) sinh(kappa(N+gamma))/sinh(kappa gamma):
     # G''(0) = kappa^2 G(0), G'(0) = kappa coth(kappa gamma) G(0)
