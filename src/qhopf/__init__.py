@@ -16,7 +16,7 @@ The layers, bottom up:
 * :mod:`qhopf.cli`: the ``qhopf`` command.
 """
 
-from .expalg import EvaluationOverflow, ExpPoly, antidifference, combine
+from .expalg import EvaluationOverflow, ExpPoly, antidifference
 from .hopf import (AlgebraElement, AntipodeWeights, CoproductWeights, HopfOscillator,
                    HopfParams, TensorElement, antipode_weights, build_params,
                    coproduct_weights, g_function, proposition1_params,
@@ -29,7 +29,7 @@ from .constraints import (FamilyVerdict, HermiticityInput, OhSinghParams,
 from .fock import (FockWindow, NonUnitarizableWindowError, SectorOperator,
                    build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
                    check_yang_baxter, check_yang_baxter_oh_singh,
-                   compare_sector_operators, fock_matrices, interior_residual,
+                   compare_sector_operators, interior_residual,
                    represent_tensor, sector_dim, sector_states)
 from .report import CheckReport, CheckResult, TOOL_VERSION
 
@@ -43,8 +43,8 @@ __all__ = [
     "TensorElement", "antidifference", "antipode_weights", "build_params",
     "build_rmatrix", "build_rmatrix_oh_singh", "check_quasitriangularity",
     "check_yang_baxter", "check_yang_baxter_oh_singh", "classify_family",
-    "classify_hermiticity", "combine", "compare_sector_operators",
-    "coproduct_weights", "fock_matrices", "g_function", "interior_residual",
+    "classify_hermiticity", "compare_sector_operators", "coproduct_weights",
+    "g_function", "interior_residual",
     "oh_singh_g_poly", "param_map_inverse", "param_map_oh_singh",
     "pointwise_reality", "proposition1_params", "q_bracket", "reality_defect",
     "represent_tensor", "sector_dim", "sector_states", "structure_function",

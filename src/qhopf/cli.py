@@ -404,6 +404,11 @@ def main(argv=None):
         # series normalization, out-of-image inversions, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # extreme but well-formed parameters overflow cosh/sinh/exp while
+        # the pack is derived or classified
+        print(f"error: parameters out of floating-point range ({exc})", file=sys.stderr)
+        return 2
     except EvaluationOverflow as exc:
         rep = CheckReport()
         rep.add("numeric-overflow", False, float("inf"), str(exc))

@@ -37,7 +37,6 @@ __all__ = [
     "EvaluationOverflow",
     "ExpPoly",
     "antidifference",
-    "combine",
 ]
 
 MU_MERGE_TOL = 1e-9
@@ -364,7 +363,11 @@ class ExpPoly:
 
 
 def combine(f, g, op):
-    """Binary combination of two functions; ``op`` is ``"add"`` or ``"mul"``."""
+    """Binary combination of two functions; ``op`` is ``"add"`` or ``"mul"``.
+
+    Not part of the API (use ``f + g`` and ``f * g``): it stays only while the
+    benchmark tracer in ``perfbench/tracer.py`` still wraps it by name.
+    """
     if not isinstance(f, ExpPoly) or not isinstance(g, ExpPoly):
         raise TypeError("combine expects two ExpPoly operands")
     if f.arity != g.arity:

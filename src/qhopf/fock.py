@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ from .report import CheckReport, jsonable
 __all__ = [
     "NonUnitarizableWindowError",
     "FockWindow",
-    "fock_matrices",
     "interior_residual",
     "sector_states",
     "sector_dim",
@@ -147,11 +147,6 @@ class FockWindow:
         return np.diag([f(n) for n in range(self.dim)]).astype(complex)
 
 
-def fock_matrices(window):
-    """Module-level alias for the generator triple of a window."""
-    return window.matrices()
-
-
 def interior_residual(a, b, margin):
     """Relative Frobenius distance on the sub-block that truncation cannot
     reach: rows and columns at least ``margin`` levels below the boundary."""
@@ -254,20 +249,24 @@ def represent_tensor(t, source, m_max):
         raise ValueError(f"tensor element mixes sector degrees {sorted(degrees)}")
     degree = degrees.pop() if degrees else 0
     legs = t.legs
-    max_r = max((max(r for r, _ in key) for key in t.terms), default=0)
+    # per term: the a-powers (lows) and adag-powers (highs) of its legs
+    terms = [(tuple(s for _, s in key), tuple(r for r, _ in key), poly)
+             for key, poly in t.terms.items()]
+    max_r = max((max(highs) for _, highs, _ in terms), default=0)
     _, sqrt_f, _ = _structure_values(params, m_max + max_r + 1)
 
-    def lower_amp(n, s):
-        amp = 1.0 + 0j
-        for u in range(s):
-            amp *= sqrt_f[n - u]
-        return amp
-
-    def raise_amp(n, r):
-        amp = 1.0 + 0j
-        for u in range(1, r + 1):
-            amp *= sqrt_f[n + u]
-        return amp
+    # lower_amp[n][s] = sqrt(F(n) F(n-1) .. F(n-s+1)) and
+    # raise_amp[n][r] = sqrt(F(n+1) .. F(n+r)), multiplied up factor by factor
+    lower_amp, raise_amp = [], []
+    for n in range(m_max + 1):
+        row = [1.0 + 0j]
+        for u in range(n):
+            row.append(row[-1] * sqrt_f[n - u])
+        lower_amp.append(row)
+        row = [1.0 + 0j]
+        for u in range(1, max_r + 1):
+            row.append(row[-1] * sqrt_f[n + u])
+        raise_amp.append(row)
 
     blocks = {}
     for m in range(m_max + 1):
@@ -276,17 +275,16 @@ def represent_tensor(t, source, m_max):
         index = {st: i for i, st in enumerate(targets)}
         block = np.zeros((len(targets), len(states)), dtype=complex)
         for j, st in enumerate(states):
-            for key, poly in t.terms.items():
-                if any(st[i] < key[i][1] for i in range(legs)):
+            for lows, highs, poly in terms:
+                mids = tuple(map(operator.sub, st, lows))
+                if min(mids) < 0:
                     continue
-                mids = tuple(st[i] - key[i][1] for i in range(legs))
-                target = tuple(mids[i] + key[i][0] for i in range(legs))
                 amp = poly.evaluate(*mids)
                 if amp == 0:
                     continue
-                for i in range(legs):
-                    amp *= lower_amp(st[i], key[i][1]) * raise_amp(mids[i], key[i][0])
-                block[index[target], j] += amp
+                for n, s, mid, r in zip(st, lows, mids, highs):
+                    amp *= lower_amp[n][s] * raise_amp[mid][r]
+                block[index[tuple(map(operator.add, mids, highs))], j] += amp
         blocks[m] = block
     return SectorOperator(legs, degree, blocks)
 

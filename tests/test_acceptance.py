@@ -12,7 +12,7 @@ from qhopf import (FockWindow, HermiticityInput, HopfOscillator, OhSinghParams,
                    build_params, build_rmatrix, build_rmatrix_oh_singh,
                    check_quasitriangularity, check_yang_baxter,
                    check_yang_baxter_oh_singh, classify_hermiticity,
-                   compare_sector_operators, fock_matrices, g_function,
+                   compare_sector_operators, g_function,
                    interior_residual, param_map_oh_singh, pointwise_reality,
                    proposition1_params, structure_function_values,
                    verify_ci_conditions, verify_g_recursion)
@@ -201,7 +201,7 @@ def test_criterion_5_real_form_equivalence():
 def test_criterion_6_fock_window_identities():
     p = proposition1_params(0.6, 0.8, 0, 1.0)
     w = FockWindow(p, 12, hermitian=True)
-    a, ad, n = fock_matrices(w)
+    a, ad, n = w.matrices()
     alg = HopfOscillator(p)
     g = g_function(p)
     worst = 0.0

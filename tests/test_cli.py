@@ -256,3 +256,18 @@ def test_negative_env_sector_cap_exits_two(capsys, monkeypatch):
                        "0.1", "--gamma1", "0.7")
     assert code == 2
     assert "QHOPF_MAX_SECTOR" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert-params", "--kappa1", "400", "--kappa2", "-400", "--gamma1", "2", "--k", "0"),
+    ("convert-params", "--eps", "800", "--alpha", "1", "--beta", "1"),
+    ("classify", "--xi", "400", "--eta", "0", "--gamma1", "2", "--gamma2", "0.4"),
+])
+def test_overflowing_parameters_exit_two_without_traceback(argv):
+    # a fresh process, so an uncaught exception would show as a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "qhopf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

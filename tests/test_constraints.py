@@ -38,6 +38,17 @@ def test_ci_negative_control_affine_coefficient(generic_params):
             assert "A=1, B=1" in (c.witness or "")
 
 
+def test_ci_tol_is_the_threshold_of_antipode_compat(generic_params):
+    # raise_right off by 1e-8 relative breaks its identities by about 1e-8
+    w = coproduct_weights(generic_params)
+    off = CoproductWeights(w.raise_right * (1 + 1e-8), w.raise_left, w.lower_right,
+                           w.lower_left)
+    loose = verify_ci_conditions(generic_params, max_order=2, weights=off, tol=1e-6)
+    assert loose.passed, [(c.name, c.residual) for c in loose.failures()]
+    rep = verify_ci_conditions(generic_params, max_order=2, weights=off)
+    assert "antipode-compat[raise,1]" in {c.name for c in rep.failures()}
+
+
 def test_ci_conditions_pass_on_slowly_varying_coefficient():
     # kappa2 ~ 0.099: the order-12 derivative of raise_left is ~1e-12 of the
     # function itself and must not be pruned as roundoff

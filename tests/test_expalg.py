@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from qhopf.expalg import (EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference,
-                          combine)
+from qhopf.expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference
 
 
 def random_poly(rng, arity=1, n_terms=4, max_power=2):
@@ -17,16 +16,16 @@ def random_poly(rng, arity=1, n_terms=4, max_power=2):
     return ExpPoly(arity, terms)
 
 
-# ---------------------------------------------------------------- combine/mul
+# ------------------------------------------------------------------- add/mul
 def test_mul_exponentials_adds_exponents():
     f = ExpPoly.exponential(0.5)
     g = ExpPoly.exponential(0.1)
-    assert combine(f, g, "mul") == ExpPoly.exponential(0.6)
+    assert f * g == ExpPoly.exponential(0.6)
 
 
 def test_add_zero_is_identity():
     f = ExpPoly.exponential(0.3) * 2.5 + ExpPoly.variable()
-    assert combine(f, ExpPoly.zero(), "add") == f
+    assert f + ExpPoly.zero() == f
 
 
 def test_mul_by_one_preserves_sinh_form():
@@ -35,15 +34,18 @@ def test_mul_by_one_preserves_sinh_form():
     pref = 1.0 / (2 * math.sinh(kappa * gamma))
     g = (ExpPoly(1, {((kappa + 0j, 0),): pref * math.exp(kappa * gamma)})
          - ExpPoly(1, {((-kappa + 0j, 0),): pref * math.exp(-kappa * gamma)}))
-    same = combine(g, ExpPoly.constant(1.0), "mul")
+    same = g * ExpPoly.constant(1.0)
     assert same == g
     # spot value oracle: direct scalar evaluation
     assert same(1) == pytest.approx(math.sinh(0.4 * 1.7) / math.sinh(0.28))
 
 
 def test_combine_arity_mismatch():
+    f, g = ExpPoly.variable(arity=1), ExpPoly.variable(arity=2)
     with pytest.raises(ValueError):
-        combine(ExpPoly.variable(arity=1), ExpPoly.variable(arity=2), "add")
+        f + g
+    with pytest.raises(ValueError):
+        f * g
 
 
 # --------------------------------------------------------------------- shift

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhopf import (FockWindow, HopfOscillator, NonUnitarizableWindowError,
-                   build_params, fock_matrices, g_function, interior_residual,
+                   build_params, g_function, interior_residual,
                    proposition1_params, represent_tensor, sector_dim, sector_states,
                    structure_function_values)
 from qhopf.expalg import ExpPoly
@@ -23,13 +23,13 @@ def random_monomial(algebra, rng, max_rs=3, max_power=2):
 # ------------------------------------------------------------------- windows
 def test_vacuum_annihilation(generic_params):
     w = FockWindow(generic_params, 8)
-    a, _, _ = fock_matrices(w)
+    a, _, _ = w.matrices()
     assert np.allclose(a[:, 0], 0)
 
 
 def test_number_conservation_identities(prop1_params):
     w = FockWindow(prop1_params, 12)
-    a, ad, n = fock_matrices(w)
+    a, ad, n = w.matrices()
     f_oracle = structure_function_values(prop1_params, 12)
     # adag a = F(N) on the whole window
     assert np.max(np.abs(ad @ a - np.diag(f_oracle[:12]))) < 1e-10
@@ -45,7 +45,7 @@ def test_number_conservation_identities(prop1_params):
 
 def test_anticommutator_identity(generic_params):
     w = FockWindow(generic_params, 12)
-    a, ad, _ = fock_matrices(w)
+    a, ad, _ = w.matrices()
     f_vals = w.f_values
     anti = a @ ad + ad @ a
     expected = np.diag([f_vals[n + 1] + f_vals[n] for n in range(12)])
@@ -54,7 +54,7 @@ def test_anticommutator_identity(generic_params):
 
 def test_adjointness_in_hermitian_family(prop1_params):
     w = FockWindow(prop1_params, 12, hermitian=True)
-    a, ad, _ = fock_matrices(w)
+    a, ad, _ = w.matrices()
     assert np.max(np.abs(ad - a.conj().T)) < 1e-12
     alg = HopfOscillator(prop1_params)
     g_mat = w.represent(alg.from_function(alg.g))
@@ -68,7 +68,7 @@ def test_non_unitarizable_window_rejected():
         FockWindow(p, 8, hermitian=True)
     w = FockWindow(p, 8)  # auto-detected non-Hermitian mode
     assert not w.hermitian
-    a, ad, _ = fock_matrices(w)
+    a, ad, _ = w.matrices()
     assert np.max(np.abs(ad @ a - np.diag(w.f_values[:8]))) < 1e-10
 
 
@@ -159,3 +159,58 @@ def test_iterated_coproduct_constant_on_sectors(generic_params):
     for m in range(4):
         expected = (m + 2 * generic_params.gamma) * np.eye(sector_dim(m, 3))
         assert np.max(np.abs(rep.blocks[m] - expected)) < 1e-12
+
+
+def reference_represent_tensor(t, params, m_max):
+    """represent_tensor as a plain per-state loop that multiplies each ladder
+    amplitude up on the spot."""
+    degree = t.degrees().pop()
+    max_r = max(max(r for r, _ in key) for key in t.terms)
+    g = g_function(params)
+    f_vals = [0j]
+    for n in range(m_max + max_r + 1):
+        f_vals.append(f_vals[-1] + g(n))
+    sqrt_f = np.sqrt(np.array(f_vals, dtype=complex))
+    blocks = {}
+    for m in range(m_max + 1):
+        states = sector_states(m, t.legs)
+        targets = sector_states(m + degree, t.legs)
+        block = np.zeros((len(targets), len(states)), dtype=complex)
+        for j, st in enumerate(states):
+            for key, poly in t.terms.items():
+                if any(n < s for n, (_, s) in zip(st, key)):
+                    continue
+                mids = tuple(n - s for n, (_, s) in zip(st, key))
+                amp = poly.evaluate(*mids)
+                if amp == 0:
+                    continue
+                for n, mid, (r, s) in zip(st, mids, key):
+                    low = 1.0 + 0j
+                    for u in range(s):
+                        low *= sqrt_f[n - u]
+                    high = 1.0 + 0j
+                    for u in range(1, r + 1):
+                        high *= sqrt_f[mid + u]
+                    amp *= low * high
+                target = tuple(mid + r for mid, (r, _) in zip(mids, key))
+                block[targets.index(target), j] += amp
+        blocks[m] = block
+    return blocks
+
+
+@pytest.mark.parametrize("which", ["split-left", "split-right", "mixed-monomial"])
+def test_represent_tensor_equals_reference_loop(which):
+    # a non-Hermitian pack, so the principal complex square roots are exercised
+    from qhopf.fock import _series_tensor_terms
+    p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j)
+    alg = HopfOscillator(p)
+    if which == "mixed-monomial":
+        # legs carrying both a- and adag-powers, so neither ladder factor is 1
+        t = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
+    else:
+        leg = 0 if which == "split-left" else 1
+        t = alg.coproduct_on_leg(_series_tensor_terms(alg, 12), leg)
+    got = represent_tensor(t, p, 12)
+    want = reference_represent_tensor(t, p, 12)
+    for m in range(13):
+        assert np.array_equal(got.blocks[m], want[m])

@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
 
-from qhopf import (FockWindow, HopfOscillator, build_params, g_function,
-                   interior_residual, proposition1_params, structure_function,
-                   structure_function_values)
+from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
+                   build_params, coproduct_weights, g_function, interior_residual,
+                   proposition1_params, structure_function, structure_function_values)
 from qhopf.expalg import ExpPoly
 
 
@@ -176,6 +177,89 @@ def test_coproduct_is_homomorphism(generic_params):
         assert lhs == rhs
 
 
+# Reference coproduct without any cache: every leg product is formed afresh and
+# every generator power is an explicit left fold 1 * D * D * ... of tensor products.
+def reference_tensor_product(alg, t, u):
+    out = {}
+    for key1, p1 in t.terms.items():
+        for pk1, c1 in p1.terms.items():
+            for key2, p2 in u.terms.items():
+                for pk2, c2 in p2.terms.items():
+                    leg_results = [
+                        list(alg.product(alg.monomial(*key1[i], ExpPoly(1, {(pk1[i],): 1.0})),
+                                         alg.monomial(*key2[i], ExpPoly(1, {(pk2[i],): 1.0})))
+                             .terms.items())
+                        for i in range(t.legs)]
+                    for combo in cartesian(*leg_results):
+                        poly = ExpPoly.constant(c1 * c2, t.legs)
+                        for i, (_, fp) in enumerate(combo):
+                            poly = poly * fp.embed(t.legs, i)
+                        key = tuple(k for k, _ in combo)
+                        out[key] = out[key] + poly if key in out else poly
+    return TensorElement(alg, t.legs, out)
+
+
+def reference_powers(alg, n_max):
+    """[coproduct(adag)^n], [coproduct(a)^n] for n <= n_max."""
+    w = alg.weights
+    gens = [TensorElement(alg, 2, {((1, 0), (0, 0)): w.raise_right.embed(2, 1),
+                                   ((0, 0), (1, 0)): w.raise_left.embed(2, 0)}),
+            TensorElement(alg, 2, {((0, 1), (0, 0)): w.lower_right.embed(2, 1),
+                                   ((0, 0), (0, 1)): w.lower_left.embed(2, 0)})]
+    out = []
+    for d in gens:
+        powers = [alg.tensor_one(2)]
+        for _ in range(n_max):
+            powers.append(reference_tensor_product(alg, powers[-1], d))
+        out.append(powers)
+    return out
+
+
+def reference_coproduct(alg, x, powers):
+    raise_powers, lower_powers = powers
+    total = TensorElement(alg, 2, {})
+    for (r, s), f in x.terms.items():
+        cur = TensorElement(alg, 2, {
+            ((0, 0), (0, 0)): f.substitute([({0: 1.0, 1: 1.0}, alg.params.gamma)], 2)})
+        cur = reference_tensor_product(alg, raise_powers[r], cur)
+        cur = reference_tensor_product(alg, cur, lower_powers[s])
+        total = total + cur
+    return total
+
+
+def coefficients(t):
+    """Exact per-key coefficient dicts of a tensor element."""
+    return {key: poly.terms for key, poly in t.terms.items()}
+
+
+def test_cached_coproduct_equals_uncached_fold(generic_complex_params):
+    alg = HopfOscillator(generic_complex_params)
+    probes = [alg.monomial(2, 1, ExpPoly.exponential(0.3))]
+    for n in range(13):
+        probes += [alg.monomial(0, n), alg.monomial(n, 0)]
+    powers = reference_powers(alg, 12)
+    for x in probes:
+        # equal key by key and coefficient by coefficient, not approximately
+        assert coefficients(alg.coproduct(x)) == coefficients(reference_coproduct(alg, x, powers))
+
+
+def test_coproduct_power_caches_are_per_instance(generic_params, prop1_params):
+    w = coproduct_weights(generic_params)
+    tampered = CoproductWeights(w.raise_right * 2.0, w.raise_left, w.lower_right * 2.0,
+                                w.lower_left)
+    algs = [HopfOscillator(generic_params), HopfOscillator(prop1_params),
+            HopfOscillator(generic_params, weights=tampered)]
+    # every instance, in either order, expands with its own pack and weights
+    for alg in algs + algs[::-1]:
+        powers = reference_powers(alg, 3)
+        for x in (alg.monomial(0, 3), alg.monomial(2, 0)):
+            want = reference_coproduct(alg, x, powers)
+            assert coefficients(alg.coproduct(x)) == coefficients(want)
+    plain, _, hooked = algs
+    assert (coefficients(plain.coproduct(plain.monomial(0, 3)))
+            != coefficients(hooked.coproduct(hooked.monomial(0, 3))))
+
+
 # --------------------------------------------------------------------- counit
 def test_counit_values(generic_params):
     alg = HopfOscillator(generic_params)
@@ -271,6 +355,26 @@ def test_perturbed_counit_fails(prop1_params):
     failed = {c.name for c in rep.failures()}
     assert any(name.startswith("counit-") for name in failed)
     assert not any(name.startswith("coassociativity") for name in failed)
+
+
+def test_tol_is_the_threshold_of_element_checks(prop1_params):
+    # a counit point off by 1e-6 leaves residuals of about 6e-7: within a loose
+    # tolerance, beyond the default one
+    p = prop1_params
+    alg = HopfOscillator(p, counit_point=-p.gamma + 1e-6)
+    loose = alg.check_axioms(tol=1.0)
+    assert loose.passed, [(c.name, c.residual) for c in loose.failures()]
+    failed = {c.name for c in alg.check_axioms().failures()}
+    assert {"counit-left[a]", "counit-right[adag]"} <= failed
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-3])
+def test_negative_controls_fail_at_loose_tol(prop1_params, generic_params, tol):
+    p = prop1_params
+    rep = HopfOscillator(p, counit_point=-p.gamma + 0.1).check_axioms(tol=tol)
+    assert any(c.name.startswith("counit-") for c in rep.failures())
+    rep = HopfOscillator(generic_params, g=ExpPoly.constant(1.0)).check_axioms(tol=tol)
+    assert "coproduct-commutator[a,adag]" in {c.name for c in rep.failures()}
 
 
 def test_constant_g_breaks_compatibility(generic_params):
