@@ -21,6 +21,7 @@ overflow was reported, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -48,29 +49,36 @@ class UsageError(Exception):
     pass
 
 
-def _to_complex(value):
+def _to_complex(vals, key):
+    """Parameter ``key`` as a finite complex number, or None when not given."""
+    value = vals.get(key)
     if value is None:
         return None
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
+    if isinstance(value, (int, float, complex)):
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(float(value[0]), float(value[1]))
+    elif isinstance(value, str):
+        text = value.replace(" ", "")
+        if text.endswith("i"):
+            text = text[:-1] + "j"
         try:
-            return complex(value.replace("i", "j").replace(" ", ""))
+            z = complex(text)
         except ValueError as exc:
             raise UsageError(f"cannot parse complex value {value!r}") from exc
-    raise UsageError(f"cannot parse complex value {value!r}")
+    else:
+        raise UsageError(f"cannot parse complex value {value!r}")
+    if not cmath.isfinite(z):
+        raise UsageError(f"--{key} must be finite, got {value}")
+    return z
 
 
-def _to_real(value):
-    z = _to_complex(value)
+def _to_real(vals, key):
+    z = _to_complex(vals, key)
     if z is None:
         return None
     if z.imag != 0:
-        raise UsageError(f"expected a real value, got {value!r}")
+        raise UsageError(f"expected a real value, got {vals.get(key)!r}")
     return z.real
 
 
@@ -126,8 +134,8 @@ def _detect_style(vals):
 
 
 def _resolve_ohsingh(vals):
-    eps = _to_real(vals.get("eps"))
-    q = _to_real(vals.get("q"))
+    eps = _to_real(vals, "eps")
+    q = _to_real(vals, "q")
     if eps is not None and q is not None:
         raise UsageError("give either --eps or --q, not both")
     if q is not None:
@@ -137,21 +145,21 @@ def _resolve_ohsingh(vals):
     if eps is None or vals.get("alpha") is None:
         raise UsageError("q-oscillator form needs --eps (or --q) and --alpha")
     try:
-        return OhSinghParams(eps, _to_real(vals.get("alpha")),
-                             _to_real(vals.get("beta")) or 0.0,
+        return OhSinghParams(eps, _to_real(vals, "alpha"),
+                             _to_real(vals, "beta") or 0.0,
                              _to_int(vals.get("k")) or 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _resolve_oscillator(vals):
-    kappa1 = _to_complex(vals.get("kappa1"))
-    kappa2 = _to_complex(vals.get("kappa2"))
+    kappa1 = _to_complex(vals, "kappa1")
+    kappa2 = _to_complex(vals, "kappa2")
     if kappa1 is None or kappa2 is None:
         raise UsageError("oscillator form needs --kappa1 and --kappa2")
-    gamma1 = _to_real(vals.get("gamma1"))
+    gamma1 = _to_real(vals, "gamma1")
     gamma1 = 0.0 if gamma1 is None else gamma1
-    gamma2 = _to_real(vals.get("gamma2"))
+    gamma2 = _to_real(vals, "gamma2")
     k = _to_int(vals.get("k"))
     if gamma2 is not None and k is not None:
         raise UsageError("give either --gamma2 or --k, not both")
@@ -163,7 +171,7 @@ def _resolve_oscillator(vals):
             gamma2 = (2 * k + 1) * math.pi / (2 * xi)
         else:
             gamma2 = 0.0
-    g0 = _to_complex(vals.get("g0"))
+    g0 = _to_complex(vals, "g0")
     g0 = 1.0 + 0j if g0 is None else g0
     try:
         return build_params(kappa1, kappa2, complex(gamma1, gamma2), g0)
@@ -192,11 +200,11 @@ def _sector_limit(requested):
 def _cmd_classify(vals):
     style = _detect_style(vals)
     if style == "hermiticity":
-        h = HermiticityInput(_to_real(vals.get("xi")) or 0.0,
-                             _to_real(vals.get("eta")) or 0.0,
-                             _to_real(vals.get("gamma1")) or 0.0,
-                             _to_real(vals.get("gamma2")) or 0.0)
-        g0 = _to_real(vals.get("g0"))
+        h = HermiticityInput(_to_real(vals, "xi") or 0.0,
+                             _to_real(vals, "eta") or 0.0,
+                             _to_real(vals, "gamma1") or 0.0,
+                             _to_real(vals, "gamma2") or 0.0)
+        g0 = _to_real(vals, "g0")
         g0 = 1.0 if g0 is None else g0
         try:
             verdict = classify_hermiticity(h, g_slope=g0)

@@ -19,6 +19,14 @@ always constructed from a handful of parameters, never measured), and
 coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
 while building an expression are pruned; the threshold only has to absorb
 floating-point roundoff since every identity in scope cancels exactly.
+
+``substitute`` takes a direct path where a map sends every variable to a
+single target with unit coefficient, V_j -> W_t + const: a term is re-slotted
+when const = 0 (``embed``, leg lifts and swaps) and multiplied by
+exp(mu * const) when its power is 0 (``shift`` of exponentials).  Only terms
+with a power under a nonzero constant, and maps with other coefficients or
+several targets, go through the multinomial expansion; either way the terms
+keep their order and come out with the coefficients of the expansion.
 """
 
 from __future__ import annotations
@@ -46,6 +54,14 @@ EXP_ARG_CAP = 50.0
 
 class EvaluationOverflow(ArithmeticError):
     """Raised when |mu * V| exceeds EXP_ARG_CAP while evaluating a term."""
+
+
+def capped_exp(arg):
+    """exp(arg), refusing |arg| > EXP_ARG_CAP with EvaluationOverflow."""
+    if abs(arg) > EXP_ARG_CAP:
+        raise EvaluationOverflow(
+            f"|mu*V| = {abs(arg):.4g} exceeds the exponent cap {EXP_ARG_CAP:g}")
+    return cmath.exp(arg)
 
 
 def _compositions(total, slots):
@@ -222,8 +238,29 @@ class ExpPoly:
         """
         if len(mapping) != self.arity:
             raise ValueError("mapping length must equal arity")
+        # V_j -> W_t + const with a unit coefficient for every j: a term whose
+        # variables each have power 0 or constant 0 needs no expansion
+        unit = None
+        if all(list(coeffs.values()) == [1] for coeffs, _ in mapping):
+            unit = [(*coeffs, complex(const)) for coeffs, const in mapping]
         raw = {}
         for key, coeff in self.terms.items():
+            if unit is not None and all(not k or not const
+                                        for (_, k), (_, const) in zip(key, unit)):
+                slots = [[0j, 0] for _ in range(arity)]
+                weight = coeff
+                for (mu, k), (t, const) in zip(key, unit):
+                    if const:
+                        w = cmath.exp(mu * const)
+                        if w == 0:
+                            break
+                        weight *= w
+                    slots[t][0] += mu
+                    slots[t][1] += k
+                else:
+                    nk = tuple((mu, k) for mu, k in slots)
+                    raw[nk] = raw.get(nk, 0j) + weight
+                continue
             var_options = []
             for (mu, k), (coeffs, const) in zip(key, mapping):
                 targets = sorted(coeffs)
@@ -309,11 +346,7 @@ class ExpPoly:
         for key, c in self.terms.items():
             val = c
             for (mu, k), v in zip(key, pts):
-                arg = mu * v
-                if abs(arg) > EXP_ARG_CAP:
-                    raise EvaluationOverflow(
-                        f"|mu*V| = {abs(arg):.4g} exceeds the exponent cap {EXP_ARG_CAP:g}")
-                val *= cmath.exp(arg)
+                val *= capped_exp(mu * v)
                 if k:
                     val *= v**k
             total += val

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expalg import ExpPoly
+from .expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, capped_exp
 from .hopf import HopfOscillator, HopfParams, g_function
 from .report import CheckReport, jsonable
 
@@ -147,6 +147,12 @@ class FockWindow:
         return np.diag([f(n) for n in range(self.dim)]).astype(complex)
 
 
+def _rel_residual(a, b):
+    """Relative Frobenius distance ||a - b|| / max(||a||, ||b||)."""
+    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+    return float(np.linalg.norm(a - b) / scale)
+
+
 def interior_residual(a, b, margin):
     """Relative Frobenius distance on the sub-block that truncation cannot
     reach: rows and columns at least ``margin`` levels below the boundary."""
@@ -155,10 +161,7 @@ def interior_residual(a, b, margin):
     n = a.shape[0] - margin
     if n <= 0:
         raise ValueError("margin exceeds the window")
-    da = a[:n, :n]
-    db = b[:n, :n]
-    scale = max(np.linalg.norm(da), np.linalg.norm(db), 1e-300)
-    return float(np.linalg.norm(da - db) / scale)
+    return _rel_residual(a[:n, :n], b[:n, :n])
 
 
 # ------------------------------------------------------------------- sectors
@@ -209,12 +212,6 @@ class SectorOperator:
     def __matmul__(self, other):
         return self.compose(other)
 
-    def inverse(self):
-        if self.degree != 0:
-            raise ValueError("only degree-0 operators are invertible sectorwise")
-        return SectorOperator(self.legs, 0,
-                              {m: np.linalg.inv(b) for m, b in self.blocks.items()})
-
     def to_payload(self, params=None):
         """JSON-ready dump: {params, legs, degree, sectors:[{M, rows, cols,
         entries}]} with complex entries as [re, im] pairs in row-major order."""
@@ -249,9 +246,27 @@ def represent_tensor(t, source, m_max):
         raise ValueError(f"tensor element mixes sector degrees {sorted(degrees)}")
     degree = degrees.pop() if degrees else 0
     legs = t.legs
-    # per term: the a-powers (lows) and adag-powers (highs) of its legs
-    terms = [(tuple(s for _, s in key), tuple(r for r, _ in key), poly)
-             for key, poly in t.terms.items()]
+
+    # exp(mu*V) and V**k on every level 0..m_max, once per call; an exponent
+    # beyond EXP_ARG_CAP is left as None and raised on where it is met
+    levels = [complex(n) for n in range(m_max + 1)]
+    exps, powers = {}, {}
+    # per term: the a-powers (lows) and adag-powers (highs) of its legs, and
+    # its coefficient function as (c, per leg (mu, exp row, power row or None))
+    terms = []
+    for key, poly in t.terms.items():
+        factors = []
+        for pk, c in poly.terms.items():
+            per_leg = []
+            for mu, k in pk:
+                if mu not in exps:
+                    exps[mu] = [cmath.exp(mu * v) if abs(mu * v) <= EXP_ARG_CAP else None
+                                for v in levels]
+                if k and k not in powers:
+                    powers[k] = [v**k for v in levels]
+                per_leg.append((mu, exps[mu], powers[k] if k else None))
+            factors.append((c, per_leg))
+        terms.append((tuple(s for _, s in key), tuple(r for r, _ in key), factors))
     max_r = max((max(highs) for _, highs, _ in terms), default=0)
     _, sqrt_f, _ = _structure_values(params, m_max + max_r + 1)
 
@@ -268,23 +283,46 @@ def represent_tensor(t, source, m_max):
             row.append(row[-1] * sqrt_f[n + u])
         raise_amp.append(row)
 
+    # Term by term, only the states a term reaches: st = lows + mids with mids
+    # in the sector of level m - sum(lows).  Each entry still takes its
+    # contributions in term order, and each coefficient is multiplied up as
+    # ExpPoly.evaluate does.
+    states_at = [sector_states(n, legs) for n in range(m_max + 1)]
     blocks = {}
     for m in range(m_max + 1):
-        states = sector_states(m, legs)
-        targets = sector_states(m + degree, legs)
-        index = {st: i for i, st in enumerate(targets)}
-        block = np.zeros((len(targets), len(states)), dtype=complex)
-        for j, st in enumerate(states):
-            for lows, highs, poly in terms:
-                mids = tuple(map(operator.sub, st, lows))
-                if min(mids) < 0:
-                    continue
-                amp = poly.evaluate(*mids)
-                if amp == 0:
-                    continue
-                for n, s, mid, r in zip(st, lows, mids, highs):
-                    amp *= lower_amp[n][s] * raise_amp[mid][r]
-                block[index[tuple(map(operator.add, mids, highs))], j] += amp
+        source = {st: j for j, st in enumerate(states_at[m])}
+        target = {st: i for i, st in enumerate(sector_states(m + degree, legs))}
+        block = np.zeros((len(target), len(source)), dtype=complex)
+        overflow = None
+        for i, (lows, highs, factors) in enumerate(terms):
+            rest = m - sum(lows)
+            if rest < 0:
+                continue
+            try:
+                for mids in states_at[rest]:
+                    amp = 0j
+                    for c, per_leg in factors:
+                        val = c
+                        for (mu, exp_row, pow_row), v in zip(per_leg, mids):
+                            e = exp_row[v]
+                            if e is None:
+                                capped_exp(mu * levels[v])  # raises EvaluationOverflow
+                            val *= e
+                            if pow_row is not None:
+                                val *= pow_row[v]
+                        amp += val
+                    if amp == 0:
+                        continue
+                    st = tuple(map(operator.add, lows, mids))
+                    for n, s, mid, r in zip(st, lows, mids, highs):
+                        amp *= lower_amp[n][s] * raise_amp[mid][r]
+                    block[target[tuple(map(operator.add, mids, highs))], source[st]] += amp
+            except EvaluationOverflow as exc:
+                # report the overflow a state-by-state sweep meets first
+                first = (source[tuple(map(operator.add, lows, mids))], i, exc)
+                overflow = first if overflow is None else min(overflow, first)
+        if overflow is not None:
+            raise overflow[2]
         blocks[m] = block
     return SectorOperator(legs, degree, blocks)
 
@@ -443,45 +481,26 @@ def compare_sector_operators(s1, s2):
     """Per-sector and overall relative Frobenius distance of two operators."""
     if s1.legs != s2.legs or s1.degree != s2.degree:
         raise ValueError("operator shapes differ")
-    per_sector = {}
-    for m in sorted(set(s1.blocks) & set(s2.blocks)):
-        a, b = s1.blocks[m], s2.blocks[m]
-        scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
-        per_sector[m] = float(np.linalg.norm(a - b) / scale)
+    per_sector = {m: _rel_residual(s1.blocks[m], s2.blocks[m])
+                  for m in sorted(set(s1.blocks) & set(s2.blocks))}
     return max(per_sector.values(), default=0.0), per_sector
 
 
-def _rel_residual(a, b):
-    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
-    return float(np.linalg.norm(a - b) / scale)
-
-
-def _series_tensor_terms(algebra, n_max, lambda_sq=None):
+def _series_tensor_terms(algebra, amp, n_max):
     """The R-matrix series as a symbolic tensor element (prefactor excluded).
 
     Term n is c_n * (g_n(N) a^n) (x) (adag^n h_n(N)) with
     g_n(N) = (XY)^{n(N+gamma) + n(n-1)/2}, h_n(N) = (XY)^{-n(N+gamma)-n(n+1)/2},
     the normal-ordered rewriting of ((XY)^{N+gamma} a)^n (x) ((XY)^{-(N+gamma)} adag)^n.
+    The coefficients c_n are ``amp.series``, the series of the entrywise
+    evaluator ``amp`` (an ``_RMatrixAmplitude`` built for at least ``n_max``).
     """
     p = algebra.params
-    lam2 = p.lambda_sq if lambda_sq is None else complex(lambda_sq)
-    x_sq = cmath.exp(p.kappa)
-    denom = 2 * cmath.sinh(p.kappa / 2)
+    xy = p.kappa1
     total = None
-    bracket_fact = 1.0 + 0j
     for n in range(n_max + 1):
-        if n > 0:
-            bracket = 2 * cmath.sinh(n * p.kappa / 2) / denom
-            if abs(bracket) < 1e-12:
-                raise ValueError(f"[{n}]_X vanishes; the series normalization fails")
-            bracket_fact *= bracket
-        coeff = ((1 - x_sq) ** n / bracket_fact
-                 * cmath.exp(-p.kappa * n * (n - 1) / 4)
-                 * cmath.exp((p.kappa1 + p.kappa2) / 2 * n)
-                 * lam2 ** (-n))
-        xy = p.kappa1
         left = algebra.monomial(0, n, ExpPoly(
-            1, {((xy * n, 0),): coeff * cmath.exp(xy * (n * p.gamma + n * (n - 1) / 2))}))
+            1, {((xy * n, 0),): amp.series[n] * cmath.exp(xy * (n * p.gamma + n * (n - 1) / 2))}))
         right = algebra.monomial(n, 0, ExpPoly(
             1, {((-xy * n, 0),): cmath.exp(-xy * (n * p.gamma + n * (n + 1) / 2))}))
         term = algebra.tensor_join(left, right)
@@ -525,7 +544,7 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None,
     r13 = _embed_pair(amp, (0, 2), m_max)
     r23 = _embed_pair(amp, (1, 2), m_max)
 
-    series = _series_tensor_terms(algebra, m_max, lambda_sq)
+    series = _series_tensor_terms(algebra, amp, m_max)
     split_left = algebra.coproduct_on_leg(series, 0)
     split_right = algebra.coproduct_on_leg(series, 1)
     rep_left = represent_tensor(split_left, params, m_max)

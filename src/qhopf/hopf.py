@@ -15,7 +15,9 @@ Casimir F(N) - adag*a, and a machine check of every Hopf-algebra axiom.
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function and the powers coproduct(adag)^r and
 coproduct(a)^s; ``tensor_product`` memoizes single-leg products only for the
-duration of one call, and nothing is cached at module level.
+duration of one call, and nothing is cached at module level.  Each
+combination of leg products becomes one coefficient function in a single
+``ExpPoly`` construction, multiplied up leg by leg.
 
 Three parameter branches are distinguished:
 
@@ -532,11 +534,20 @@ class HopfOscillator:
                                 terms = leg_products[memo_key] = list(prod.terms.items())
                             leg_results.append(terms)
                         for combo in _cartesian(*leg_results):
-                            nk = tuple(k for k, _ in combo)
-                            poly = ExpPoly.constant(c1 * c2, legs)
-                            for i, (_, fp) in enumerate(combo):
-                                poly = poly * fp.embed(legs, i)
-                            _acc(out, nk, poly)
+                            # the separable product (c1 c2) fp_0(N_0) fp_1(N_1) ..,
+                            # multiplied up leg by leg in one construction
+                            c = c1 * c2
+                            scale = abs(c)
+                            for _, fp in combo:
+                                scale *= fp.scale
+                            raw = {}
+                            for parts in _cartesian(*(fp.terms.items() for _, fp in combo)):
+                                coeff = c
+                                for _, a in parts:
+                                    coeff *= a
+                                raw[tuple(pk for (pk,), _ in parts)] = coeff
+                            _acc(out, tuple(k for k, _ in combo),
+                                 ExpPoly(legs, raw, scale=scale))
         return TensorElement(self, legs, out)
 
     # -------------------------------------------------------------- coproduct

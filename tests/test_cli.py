@@ -271,3 +271,23 @@ def test_overflowing_parameters_exit_two_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify-hopf", "--kappa1", "nan", "--kappa2", "0.1", "--gamma1", "0.7"),
+     "kappa1", "nan"),
+    (("classify", "--xi", "nan", "--eta", "0", "--gamma1", "2", "--gamma2", "0.4"),
+     "xi", "nan"),
+    (("verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "inf"),
+     "gamma1", "inf"),
+    (("convert-params", "--eps", "nan", "--alpha", "1", "--beta", "1"), "eps", "nan"),
+])
+def test_non_finite_parameters_exit_two(argv, flag, value):
+    # refused before any work: no LAPACK complaint, no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "qhopf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --{flag} must be finite, got {value}\n"
+    assert "Traceback" not in proc.stderr and "** On entry to" not in proc.stderr
+    assert proc.stdout == ""

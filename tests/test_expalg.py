@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -71,6 +72,83 @@ def test_shift_round_trip():
     for _ in range(10):
         f = random_poly(rng)
         assert f.shift(1).shift(-1) == f
+
+
+def reference_substitute(f, mapping, arity):
+    """substitute by the multinomial expansion alone, for every term."""
+    raw = {}
+    for key, coeff in f.terms.items():
+        var_options = []
+        for (mu, k), (coeffs, const) in zip(key, mapping):
+            targets = sorted(coeffs)
+            const = complex(const)
+            base = cmath.exp(mu * const)
+            opts = []
+            for comp in compositions(k, len(targets) + 1):
+                multinomial = math.factorial(k)
+                for part in comp:
+                    multinomial //= math.factorial(part)
+                w = base * multinomial * const**comp[0]
+                for t, jt in zip(targets, comp[1:]):
+                    if jt:
+                        w *= complex(coeffs[t]) ** jt
+                if w != 0:
+                    opts.append((tuple((t, mu * complex(coeffs[t]), jt)
+                                       for t, jt in zip(targets, comp[1:])), w))
+            var_options.append(opts)
+        for choice in itertools.product(*var_options):
+            slots = [[0j, 0] for _ in range(arity)]
+            weight = coeff
+            for contrib, w in choice:
+                weight *= w
+                for t, dmu, dk in contrib:
+                    slots[t][0] += dmu
+                    slots[t][1] += dk
+            nk = tuple((mu, k) for mu, k in slots)
+            raw[nk] = raw.get(nk, 0j) + weight
+    return ExpPoly(arity, raw, scale=f.scale)
+
+
+def compositions(total, slots):
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def assert_same_poly(got, want):
+    # the same terms in the same order, bit for bit, and the same scale
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.scale == want.scale
+    assert got.residual_floor == want.residual_floor
+
+
+SUBSTITUTIONS = {
+    # unit maps with constant 0: the key is re-slotted, powers included
+    "embed": (1, [({2: 1.0}, 0j)], 3),
+    "permutation": (3, [({2: 1.0}, 0j), ({0: 1.0}, 0j), ({1: 1.0}, 0j)], 3),
+    "collision": (2, [({0: 1.0}, 0j), ({0: 1.0}, 0j)], 2),
+    # unit maps with a nonzero constant: power-0 terms are multiplied by
+    # exp(mu*const), terms with powers keep the expansion
+    "shift": (2, [({0: 1.0}, 0j), ({1: 1.0}, 0.4 - 0.7j)], 2),
+    "shift-and-swap": (2, [({1: 1.0}, -1.3), ({0: 1.0}, 0.25j)], 2),
+    # not unit maps: the expansion throughout
+    "two-targets": (1, [({0: 1.0, 1: 1.0}, 0.7 - 0.3j)], 2),
+    "reflection": (1, [({0: -1.0}, -1.4 + 0.6j)], 1),
+    "mixed": (2, [({0: 1.0}, 0j), ({0: 0.5, 1: 1.0}, 0.2)], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBSTITUTIONS))
+def test_substitute_equals_multinomial_expansion(case):
+    arity, mapping, target = SUBSTITUTIONS[case]
+    rng = random.Random(case)
+    for _ in range(5):
+        f = random_poly(rng, arity=arity, n_terms=6, max_power=3)
+        assert_same_poly(f.substitute(mapping, target),
+                         reference_substitute(f, mapping, target))
 
 
 # ------------------------------------------------------------- differentiate

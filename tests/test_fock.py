@@ -9,7 +9,7 @@ from qhopf import (FockWindow, HopfOscillator, NonUnitarizableWindowError,
                    build_params, g_function, interior_residual,
                    proposition1_params, represent_tensor, sector_dim, sector_states,
                    structure_function_values)
-from qhopf.expalg import ExpPoly
+from qhopf.expalg import EvaluationOverflow, ExpPoly
 
 
 def random_monomial(algebra, rng, max_rs=3, max_power=2):
@@ -198,19 +198,50 @@ def reference_represent_tensor(t, params, m_max):
     return blocks
 
 
-@pytest.mark.parametrize("which", ["split-left", "split-right", "mixed-monomial"])
+@pytest.mark.parametrize("which", ["split-left", "split-right", "mixed-monomial",
+                                   "three-leg-lowering"])
 def test_represent_tensor_equals_reference_loop(which):
     # a non-Hermitian pack, so the principal complex square roots are exercised
-    from qhopf.fock import _series_tensor_terms
+    from qhopf.fock import _RMatrixAmplitude, _series_tensor_terms
     p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j)
     alg = HopfOscillator(p)
     if which == "mixed-monomial":
         # legs carrying both a- and adag-powers, so neither ladder factor is 1
         t = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
+    elif which == "three-leg-lowering":
+        # terms with a-powers on every leg (a (x) a (x) a among them), so each
+        # term skips the states whose level is below its a-power on some leg
+        x = alg.monomial(1, 3, ExpPoly.exponential(0.3) * ExpPoly.variable())
+        t = alg.coproduct_on_leg(alg.coproduct(x), 0)
+        assert any(all(s > 0 for _, s in key) for key in t.terms)
     else:
         leg = 0 if which == "split-left" else 1
-        t = alg.coproduct_on_leg(_series_tensor_terms(alg, 12), leg)
+        t = alg.coproduct_on_leg(_series_tensor_terms(alg, _RMatrixAmplitude(p, 12), 12), leg)
     got = represent_tensor(t, p, 12)
     want = reference_represent_tensor(t, p, 12)
     for m in range(13):
         assert np.array_equal(got.blocks[m], want[m])
+
+
+def test_represent_tensor_reports_the_first_overflow(generic_params):
+    # Term 1 e^{5.5 N} (x) 1 first overflows on |0,10>, the later term
+    # adag e^{5.6 N} a (x) 1 on |10,0>: a state-by-state sweep meets |10,0>
+    # first, and so must the term-by-term one.
+    alg = HopfOscillator(generic_params)
+    t = (alg.tensor_join(alg.one(), alg.from_function(ExpPoly.exponential(5.5)))
+         + alg.tensor_join(alg.monomial(1, 1, ExpPoly.exponential(5.6)), alg.one()))
+    want = None
+    for m in range(11):
+        for st in sector_states(m, 2):
+            for key, poly in t.terms.items():
+                mids = [n - s for n, (_, s) in zip(st, key)]
+                if min(mids) < 0:
+                    continue
+                try:
+                    poly.evaluate(*mids)
+                except EvaluationOverflow as exc:
+                    want = want or str(exc)
+    with pytest.raises(EvaluationOverflow) as info:
+        represent_tensor(t, generic_params, 10)
+    assert str(info.value) == want == "|mu*V| = 50.4 exceeds the exponent cap 50"
+    assert represent_tensor(t, generic_params, 9).sectors() == list(range(10))

@@ -10,6 +10,7 @@ from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    build_params, coproduct_weights, g_function, interior_residual,
                    proposition1_params, structure_function, structure_function_values)
 from qhopf.expalg import ExpPoly
+from qhopf.fock import _RMatrixAmplitude, _series_tensor_terms
 
 
 def random_monomial(algebra, rng, max_rs=3, max_power=2):
@@ -241,6 +242,33 @@ def test_cached_coproduct_equals_uncached_fold(generic_complex_params):
     for x in probes:
         # equal key by key and coefficient by coefficient, not approximately
         assert coefficients(alg.coproduct(x)) == coefficients(reference_coproduct(alg, x, powers))
+
+
+def test_tensor_product_equals_embed_chain(generic_complex_params):
+    # The reference builds each leg combination as constant * embed * embed ..;
+    # its intermediate products can merge a roundoff exponent near 0 into the
+    # constant's 0 on a leg not yet multiplied, so exponents are matched to
+    # 1e-12 rather than bit for bit.  The coefficients are multiplied up in
+    # the same order, so they agree exactly.
+    alg = HopfOscillator(generic_complex_params)
+    d = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
+    da, dad = alg.coproduct(alg.lowering()), alg.coproduct(alg.raising())
+    left, right = alg.coproduct_on_leg(d, 0), alg.coproduct_on_leg(d, 1)
+    amp = _RMatrixAmplitude(generic_complex_params, 6)
+    split = alg.coproduct_on_leg(_series_tensor_terms(alg, amp, 6), 0)
+    for t, u in [(da, dad), (dad, da), (d, da), (left, right), (right, left),
+                 (split, alg.tensor_one(3))]:
+        got, want = alg.tensor_product(t, u), reference_tensor_product(alg, t, u)
+        assert got.terms.keys() == want.terms.keys()
+        for key, poly in got.terms.items():
+            ref = want.terms[key]
+            assert poly.scale == pytest.approx(ref.scale, rel=1e-15)
+            assert len(poly.terms) == len(ref.terms)
+            for pk, c in poly.terms.items():
+                match = [rc for rk, rc in ref.terms.items()
+                         if all(k == rk_ and abs(mu - rmu) <= 1e-12
+                                for (mu, k), (rmu, rk_) in zip(pk, rk))]
+                assert match == [c]
 
 
 def test_coproduct_power_caches_are_per_instance(generic_params, prop1_params):

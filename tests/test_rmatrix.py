@@ -75,7 +75,7 @@ def test_symbolic_series_matches_amplitude(generic_params):
     # reproduces the amplitude-built blocks
     p = generic_params
     alg = HopfOscillator(p)
-    series = _series_tensor_terms(alg, 4)
+    series = _series_tensor_terms(alg, _RMatrixAmplitude(p, 4), 4)
     rep = represent_tensor(series, p, 4)
     r = build_rmatrix(p, 4)
     for m in range(5):
