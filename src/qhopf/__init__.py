@@ -21,11 +21,10 @@ from .hopf import (AlgebraElement, AntipodeWeights, CoproductWeights, HopfOscill
                    HopfParams, TensorElement, antipode_weights, build_params,
                    coproduct_weights, g_function, proposition1_params,
                    structure_function, structure_function_values)
-from .constraints import (FamilyVerdict, HermiticityInput, OhSinghParams,
-                          classify_family, classify_hermiticity, oh_singh_g_poly,
-                          param_map_inverse, param_map_oh_singh, pointwise_reality,
-                          q_bracket, reality_defect, verify_ci_conditions,
-                          verify_g_recursion)
+from .constraints import (HermiticityInput, OhSinghParams, classify_family,
+                          classify_hermiticity, oh_singh_g_poly, param_map_inverse,
+                          param_map_oh_singh, pointwise_reality, q_bracket,
+                          reality_defect, verify_ci_conditions, verify_g_recursion)
 from .fock import (FockWindow, NonUnitarizableWindowError, SectorOperator,
                    build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
                    check_yang_baxter, check_yang_baxter_oh_singh,
@@ -37,7 +36,7 @@ __version__ = TOOL_VERSION
 
 __all__ = [
     "AlgebraElement", "AntipodeWeights", "CheckReport", "CheckResult",
-    "CoproductWeights", "EvaluationOverflow", "ExpPoly", "FamilyVerdict",
+    "CoproductWeights", "EvaluationOverflow", "ExpPoly",
     "FockWindow", "HermiticityInput", "HopfOscillator", "HopfParams",
     "NonUnitarizableWindowError", "OhSinghParams", "SectorOperator",
     "TensorElement", "antidifference", "antipode_weights", "build_params",

@@ -14,9 +14,22 @@ axis.  The canonical form makes equality of coefficient functions a finite
 termwise comparison, so operator identities reduce to ``is_zero`` of a
 difference.
 
-Exponents that agree within ``MU_MERGE_TOL`` are identified (exponents are
-always constructed from a handful of parameters, never measured), and
-coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
+Exponents are exact.  Each is an ``Exponent``: an integer combination
+n_1 g_1 + ... + n_r g_r of complex generators, where g and -g count as one
+generator.  The Hopf layer builds its exponents over the pack's kappa1 and
+kappa2; any other complex exponent handed to the constructor (a test
+fixture's 0.3, the xi and i*eta of the Hermiticity checks) becomes a
+generator of its own.  Products add the integer vectors, substitutions with
+integer coefficients scale them (any other coefficient makes a new
+generator) and ``conj`` conjugates the generators.  The complex value of an
+exponent is summed from its vector in one fixed order, so equal vectors give
+bitwise-equal values, and two terms merge exactly when their keys compare
+equal: the canonical form of a term depends neither on the other terms
+present nor on the order in which products were formed.  Keys made by the
+operations of this module are canonical already and the constructor keeps
+them as they are; only outside keys are validated and lifted.
+
+Coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
 while building an expression are pruned; the threshold only has to absorb
 floating-point roundoff since every identity in scope cancels exactly.
 
@@ -40,14 +53,13 @@ import numpy as np
 
 __all__ = [
     "EXP_ARG_CAP",
-    "MU_MERGE_TOL",
     "PRUNE_REL_TOL",
     "EvaluationOverflow",
     "ExpPoly",
+    "Exponent",
     "antidifference",
 ]
 
-MU_MERGE_TOL = 1e-9
 PRUNE_REL_TOL = 1e-12
 EXP_ARG_CAP = 50.0
 
@@ -64,6 +76,88 @@ def capped_exp(arg):
     return cmath.exp(arg)
 
 
+class Exponent(complex):
+    """An exponent n_1 g_1 + ... + n_r g_r: integers over complex generators.
+
+    ``vec`` is ((g_1, n_1), ..., (g_r, n_r)) with every n_i != 0, sorted by
+    (Re g, Im g), and every generator has Re g > 0, or Re g = 0 and Im g > 0.
+    The complex value is the sum of the n_i g_i taken in the order of ``vec``,
+    so it is a function of ``vec`` alone.  Hashing, equality and arithmetic
+    are those of the complex value; exponents combine exactly only through
+    ``exponent`` and the helpers of this module.
+    """
+
+    __slots__ = ("vec",)
+
+    def __new__(cls, vec=()):
+        re = im = 0.0
+        for g, n in vec:
+            re += n * g.real
+            im += n * g.imag
+        self = complex.__new__(cls, re, im)
+        self.vec = vec
+        return self
+
+
+ZERO = Exponent()
+
+
+def _from_counts(counts):
+    vec = tuple(sorted([gn for gn in counts.items() if gn[1]],
+                       key=lambda gn: (gn[0].real, gn[0].imag)))
+    return Exponent(vec) if vec else ZERO
+
+
+def exponent(*parts):
+    """The Exponent sum n * value over ``(value, n)`` pairs with integer n.
+
+    Each nonzero value is a generator, up to sign; passing exponents builds
+    on their generators instead.
+    """
+    counts = {}
+    for value, n in parts:
+        if isinstance(value, Exponent):
+            for g, m in value.vec:
+                counts[g] = counts.get(g, 0) + m * n
+            continue
+        value = complex(value)
+        if value.real > 0 or (value.real == 0 and value.imag > 0):
+            counts[value] = counts.get(value, 0) + n
+        elif value:
+            counts[-value] = counts.get(-value, 0) - n
+    return _from_counts(counts)
+
+
+def _add(a, b):
+    """a + b on the generator vectors."""
+    if not b.vec:
+        return a
+    if not a.vec:
+        return b
+    counts = dict(a.vec)
+    for g, n in b.vec:
+        counts[g] = counts.get(g, 0) + n
+    return _from_counts(counts)
+
+
+def _times(mu, coeff):
+    """mu * coeff: exact for integer coefficients, a new generator otherwise."""
+    coeff = complex(coeff)
+    if coeff == 1 or not mu.vec:
+        return mu
+    if coeff.imag == 0 and coeff.real.is_integer():
+        n = int(coeff.real)
+        return Exponent(tuple((g, m * n) for g, m in mu.vec)) if n else ZERO
+    return exponent((mu * coeff, 1))
+
+
+def _conj(mu):
+    """The exponent with every generator conjugated."""
+    if not mu.vec:
+        return mu
+    return exponent(*((g.conjugate(), n) for g, n in mu.vec))
+
+
 def _compositions(total, slots):
     """Yield all tuples of ``slots`` nonnegative integers summing to ``total``."""
     if slots == 1:
@@ -72,6 +166,23 @@ def _compositions(total, slots):
     for first in range(total + 1):
         for rest in _compositions(total - first, slots - 1):
             yield (first,) + rest
+
+
+def _lift_terms(arity, terms):
+    """Validate outside keys and lift their exponents onto generators."""
+    raw = {}
+    for key, c in terms.items():
+        if len(key) != arity:
+            raise ValueError(f"term key {key!r} does not match arity {arity}")
+        lifted = []
+        for mu, k in key:
+            k = int(k)
+            if k < 0:
+                raise ValueError(f"negative power in term key {key!r}")
+            lifted.append((exponent((mu, 1)), k))
+        lifted = tuple(lifted)
+        raw[lifted] = raw.get(lifted, 0j) + complex(c)
+    return raw
 
 
 def _multinomial(total, parts):
@@ -85,59 +196,41 @@ class ExpPoly:
     """Canonical finite sum of ``c * prod_j exp(mu_j V_j) V_j**k_j`` terms.
 
     ``terms`` maps ``((mu_1, k_1), ..., (mu_arity, k_arity))`` to the complex
-    coefficient ``c``.  Instances are immutable after construction; every
-    operation returns a new instance.  ``scale`` records the largest
-    coefficient magnitude encountered while building the expression and
-    anchors the relative zero threshold; ``residual_floor`` records the
-    largest magnitude that was pruned, so reports can quote an honest
-    cancellation residual.
+    coefficient ``c``; each ``mu_j`` is an ``Exponent``, so a complex number.
+    Instances are immutable after construction; every operation returns a new
+    instance.  ``scale`` records the largest coefficient magnitude
+    encountered while building the expression and anchors the relative zero
+    threshold; ``residual_floor`` records the largest magnitude that was
+    pruned, so reports can quote an honest cancellation residual.
     """
 
     __slots__ = ("arity", "terms", "scale", "residual_floor")
 
-    def __init__(self, arity, terms=None, scale=0.0):
+    def __init__(self, arity, terms=None, scale=0.0, *, canonical=False):
+        """``canonical=True`` promises keys whose exponents are ``Exponent``s
+        and whose powers are nonnegative ints, one per variable, and complex
+        coefficients, as every operation of this class produces; the dict is
+        then kept as it is, minus pruned terms.  Other keys are lifted here."""
         if not 1 <= arity <= 3:
             raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
-        raw = {}
         peak = float(scale)
+        kept, floor = {}, 0.0
         if terms:
-            for key, c in terms.items():
-                if len(key) != arity:
-                    raise ValueError(f"term key {key!r} does not match arity {arity}")
-                c = complex(c)
-                key = tuple((complex(mu), int(k)) for mu, k in key)
-                for _, k in key:
-                    if k < 0:
-                        raise ValueError(f"negative power in term key {key!r}")
-                raw[key] = raw.get(key, 0j) + c
-                m = abs(c)
-                if m > peak:
-                    peak = m
-
-        # Identify exponents that agree within the merge tolerance.
-        mus = sorted({mu for key in raw for mu, _ in key}, key=lambda z: (z.real, z.imag))
-        pool = {}
-        rep = None
-        for mu in mus:
-            if rep is not None and abs(mu - rep) <= MU_MERGE_TOL:
-                pool[mu] = rep
+            if not canonical:
+                terms = _lift_terms(arity, terms)
+            mags = [abs(c) for c in terms.values()]
+            top = max(mags)
+            if top > peak:
+                peak = top
+            cutoff = PRUNE_REL_TOL * peak
+            if min(mags) > cutoff:
+                kept = terms
             else:
-                pool[mu] = rep = mu
-        merged = {}
-        for key, c in raw.items():
-            ck = tuple((pool[mu], k) for mu, k in key)
-            merged[ck] = merged.get(ck, 0j) + c
-
-        cutoff = PRUNE_REL_TOL * peak
-        kept = {}
-        floor = 0.0
-        for key, c in merged.items():
-            m = abs(c)
-            if m <= cutoff:
-                if m > floor:
-                    floor = m
-            else:
-                kept[key] = c
+                for (key, c), m in zip(terms.items(), mags):
+                    if m > cutoff:
+                        kept[key] = c
+                    elif m > floor:
+                        floor = m
         self.arity = arity
         self.terms = kept
         self.scale = peak
@@ -150,18 +243,19 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, value, arity=1):
-        key = ((0j, 0),) * arity
-        return cls(arity, {key: complex(value)})
+        key = ((ZERO, 0),) * arity
+        return cls(arity, {key: complex(value)}, canonical=True)
 
     @classmethod
     def variable(cls, arity=1, var=0):
-        key = tuple((0j, 1 if j == var else 0) for j in range(arity))
-        return cls(arity, {key: 1.0 + 0j})
+        key = tuple((ZERO, 1 if j == var else 0) for j in range(arity))
+        return cls(arity, {key: 1.0 + 0j}, canonical=True)
 
     @classmethod
     def exponential(cls, mu, arity=1, var=0):
-        key = tuple((complex(mu) if j == var else 0j, 0) for j in range(arity))
-        return cls(arity, {key: 1.0 + 0j})
+        mu = exponent((mu, 1))
+        key = tuple((mu if j == var else ZERO, 0) for j in range(arity))
+        return cls(arity, {key: 1.0 + 0j}, canonical=True)
 
     # -------------------------------------------------------------- arithmetic
     def _coerce(self, other):
@@ -180,12 +274,13 @@ class ExpPoly:
         raw = dict(self.terms)
         for key, c in other.terms.items():
             raw[key] = raw.get(key, 0j) + c
-        return ExpPoly(self.arity, raw, scale=max(self.scale, other.scale))
+        return ExpPoly(self.arity, raw, scale=max(self.scale, other.scale), canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly(self.arity, {k: -c for k, c in self.terms.items()}, scale=self.scale)
+        return ExpPoly(self.arity, {k: -c for k, c in self.terms.items()}, scale=self.scale,
+                       canonical=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -200,7 +295,7 @@ class ExpPoly:
         if isinstance(other, numbers.Complex) and not isinstance(other, ExpPoly):
             z = complex(other)
             return ExpPoly(self.arity, {k: c * z for k, c in self.terms.items()},
-                           scale=self.scale * abs(z))
+                           scale=self.scale * abs(z), canonical=True)
         if not isinstance(other, ExpPoly):
             return NotImplemented
         if other.arity != self.arity:
@@ -208,9 +303,9 @@ class ExpPoly:
         raw = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                nk = tuple((m1 + m2, p1 + p2) for (m1, p1), (m2, p2) in zip(k1, k2))
+                nk = tuple([(_add(m1, m2), p1 + p2) for (m1, p1), (m2, p2) in zip(k1, k2)])
                 raw[nk] = raw.get(nk, 0j) + c1 * c2
-        return ExpPoly(self.arity, raw, scale=self.scale * other.scale)
+        return ExpPoly(self.arity, raw, scale=self.scale * other.scale, canonical=True)
 
     __rmul__ = __mul__
 
@@ -247,7 +342,7 @@ class ExpPoly:
         for key, coeff in self.terms.items():
             if unit is not None and all(not k or not const
                                         for (_, k), (_, const) in zip(key, unit)):
-                slots = [[0j, 0] for _ in range(arity)]
+                slots = [[ZERO, 0] for _ in range(arity)]
                 weight = coeff
                 for (mu, k), (t, const) in zip(key, unit):
                     if const:
@@ -255,8 +350,9 @@ class ExpPoly:
                         if w == 0:
                             break
                         weight *= w
-                    slots[t][0] += mu
-                    slots[t][1] += k
+                    slot = slots[t]
+                    slot[0] = _add(slot[0], mu)
+                    slot[1] += k
                 else:
                     nk = tuple((mu, k) for mu, k in slots)
                     raw[nk] = raw.get(nk, 0j) + weight
@@ -275,26 +371,29 @@ class ExpPoly:
                             w *= complex(coeffs[t]) ** jt
                     if w == 0:
                         continue
-                    contrib = tuple((t, mu * complex(coeffs[t]), jt)
+                    contrib = tuple((t, _times(mu, coeffs[t]), jt)
                                     for t, jt in zip(targets, rest))
                     opts.append((contrib, w))
                 var_options.append(opts)
             for choice in _cartesian(*var_options):
-                slots = [[0j, 0] for _ in range(arity)]
+                slots = [[ZERO, 0] for _ in range(arity)]
                 weight = coeff
                 for contrib, w in choice:
                     weight *= w
                     for t, dmu, dk in contrib:
-                        slots[t][0] += dmu
-                        slots[t][1] += dk
+                        slot = slots[t]
+                        slot[0] = _add(slot[0], dmu)
+                        slot[1] += dk
                 nk = tuple((mu, k) for mu, k in slots)
                 raw[nk] = raw.get(nk, 0j) + weight
-        return ExpPoly(arity, raw, scale=self.scale)
+        return ExpPoly(arity, raw, scale=self.scale, canonical=True)
 
     def shift(self, amount, var=0):
         """The function with V_var replaced by V_var + amount."""
         if not 0 <= var < self.arity:
             raise IndexError(f"variable index {var} out of range")
+        if amount == 0:
+            return self
         mapping = [({j: 1.0}, 0j) for j in range(self.arity)]
         mapping[var] = ({var: 1.0}, complex(amount))
         return self.substitute(mapping, self.arity)
@@ -326,14 +425,14 @@ class ExpPoly:
             # A derivative scales each coefficient, and the roundoff it carries,
             # by at most |mu| + k; keeping the undifferentiated scale would prune
             # true high-order derivatives of slowly varying terms as zero.
-            cur = ExpPoly(cur.arity, raw, scale=cur.scale * gain)
+            cur = ExpPoly(cur.arity, raw, scale=cur.scale * gain, canonical=True)
         return cur
 
     def conj(self):
         """Complex conjugate of the restriction to real arguments."""
-        raw = {tuple((mu.conjugate(), k) for mu, k in key): c.conjugate()
+        raw = {tuple((_conj(mu), k) for mu, k in key): c.conjugate()
                for key, c in self.terms.items()}
-        return ExpPoly(self.arity, raw, scale=self.scale)
+        return ExpPoly(self.arity, raw, scale=self.scale, canonical=True)
 
     def evaluate(self, *point):
         """Numeric value at a point (one complex argument per variable)."""
@@ -444,7 +543,8 @@ def antidifference(f):
             q = np.linalg.solve(mat, rhs)
         else:
             q = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        total = total + ExpPoly(1, {((mu, k),): q[k] for k in range(d + 1)}, scale=f.scale)
+        total = total + ExpPoly(1, {((mu, k),): complex(q[k]) for k in range(d + 1)},
+                                scale=f.scale, canonical=True)
     total = total - ExpPoly.constant(total.evaluate(0), 1)
     closure = total.shift(1) - total - f
     if not closure.is_zero():

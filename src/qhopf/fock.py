@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, capped_exp
+from .expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, capped_exp, exponent
 from .hopf import HopfOscillator, HopfParams, g_function
 from .report import CheckReport, jsonable
 
@@ -143,9 +143,6 @@ class FockWindow:
                 mat[row, col] += f(m) * self._lower_amp(col, s) * self._raise_amp(m, r)
         return mat
 
-    def function_matrix(self, f):
-        return np.diag([f(n) for n in range(self.dim)]).astype(complex)
-
 
 def _rel_residual(a, b):
     """Relative Frobenius distance ||a - b|| / max(||a||, ||b||)."""
@@ -197,20 +194,6 @@ class SectorOperator:
 
     def sectors(self):
         return sorted(self.blocks)
-
-    def compose(self, other):
-        """self applied after other; defined where the blocks line up."""
-        if self.legs != other.legs:
-            raise ValueError("leg mismatch in composition")
-        out = {}
-        for m, b in other.blocks.items():
-            mid = m + other.degree
-            if mid in self.blocks:
-                out[m] = self.blocks[mid] @ b
-        return SectorOperator(self.legs, self.degree + other.degree, out)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def to_payload(self, params=None):
         """JSON-ready dump: {params, legs, degree, sectors:[{M, rows, cols,
@@ -500,9 +483,10 @@ def _series_tensor_terms(algebra, amp, n_max):
     total = None
     for n in range(n_max + 1):
         left = algebra.monomial(0, n, ExpPoly(
-            1, {((xy * n, 0),): amp.series[n] * cmath.exp(xy * (n * p.gamma + n * (n - 1) / 2))}))
+            1, {((exponent((xy, n)), 0),):
+                amp.series[n] * cmath.exp(xy * (n * p.gamma + n * (n - 1) / 2))}))
         right = algebra.monomial(n, 0, ExpPoly(
-            1, {((-xy * n, 0),): cmath.exp(-xy * (n * p.gamma + n * (n + 1) / 2))}))
+            1, {((exponent((xy, -n)), 0),): cmath.exp(-xy * (n * p.gamma + n * (n + 1) / 2))}))
         term = algebra.tensor_join(left, right)
         total = term if total is None else total + term
     return total

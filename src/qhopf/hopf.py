@@ -12,6 +12,15 @@ the coproduct, counit and antipode with the solved coefficient functions,
 the summed structure function F (F(N+1) - F(N) = G(N), F(0) = 0), the
 Casimir F(N) - adag*a, and a machine check of every Hopf-algebra axiom.
 
+Every exponent the module builds is an exact integer combination of the
+pack's kappa1 and kappa2 (``_kappa_exponent``): G(N), the coproduct and
+antipode weights, and through them every product, coproduct and antipode.
+The generators are taken after ``build_params`` has snapped the branch, so
+on ``degenerate_kappa`` kappa1 and kappa2 are one generator and kappa = 0
+exactly, and kappa2 = -kappa1 (the q-oscillator presentation) makes
+kappa1 + kappa2 = 0 exactly.  Shifts move exp(mu * c) into the coefficient
+and never create new exponents.
+
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function and the powers coproduct(adag)^r and
 coproduct(a)^s; ``tensor_product`` memoizes single-leg products only for the
@@ -37,7 +46,7 @@ import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
-from .expalg import ExpPoly, antidifference
+from .expalg import ExpPoly, antidifference, exponent
 from .report import CheckReport
 
 __all__ = [
@@ -137,12 +146,18 @@ def proposition1_params(xi, gamma1, k=0, g0=1.0, kappa_sum=0.0):
     return build_params((kappa_sum + xi) / 2, (kappa_sum - xi) / 2, gamma, g0)
 
 
+def _kappa_exponent(p, n1, n2):
+    """The exact exponent n1 kappa1 + n2 kappa2 over the pack's generators."""
+    return exponent((p.kappa1, n1), (p.kappa2, n2))
+
+
 def g_function(p):
     """The commutator function G(N) as an ExpPoly, per branch."""
+    kappa, minus_kappa = _kappa_exponent(p, 1, -1), _kappa_exponent(p, -1, 1)
     if p.branch == "generic":
         pref = p.g0 / (2 * cmath.sinh(p.kappa * p.gamma))
-        plus = ExpPoly(1, {((p.kappa, 0),): pref * cmath.exp(p.kappa * p.gamma)})
-        minus = ExpPoly(1, {((-p.kappa, 0),): pref * cmath.exp(-p.kappa * p.gamma)})
+        plus = ExpPoly(1, {((kappa, 0),): pref * cmath.exp(p.kappa * p.gamma)})
+        minus = ExpPoly(1, {((minus_kappa, 0),): pref * cmath.exp(-p.kappa * p.gamma)})
         return plus - minus
     if p.branch == "degenerate_kappa":
         return ExpPoly.constant(p.g0) + ExpPoly.variable() * (p.g0 / p.gamma)
@@ -150,8 +165,7 @@ def g_function(p):
     if abs(p.kappa) < BRANCH_TOL:
         return ExpPoly.variable() * p.g0
     pref = p.g0 / (2 * p.kappa)
-    return (ExpPoly(1, {((p.kappa, 0),): pref})
-            - ExpPoly(1, {((-p.kappa, 0),): pref}))
+    return ExpPoly(1, {((kappa, 0),): pref}) - ExpPoly(1, {((minus_kappa, 0),): pref})
 
 
 def structure_function(p):
@@ -197,25 +211,24 @@ class AntipodeWeights:
 
 def _exp_shifted(mu, offset, extra=0j):
     """exp(mu * (V + offset) + extra) as a one-variable ExpPoly."""
-    return ExpPoly(1, {((complex(mu), 0),): cmath.exp(mu * offset + extra)})
+    return ExpPoly(1, {((mu, 0),): cmath.exp(mu * offset + extra)})
 
 
 def coproduct_weights(p):
     """The solved coproduct coefficients exp(+-kappa_i (N + gamma))."""
     return CoproductWeights(
-        raise_right=_exp_shifted(p.kappa1, p.gamma),
-        raise_left=_exp_shifted(p.kappa2, p.gamma),
-        lower_right=_exp_shifted(-p.kappa2, p.gamma),
-        lower_left=_exp_shifted(-p.kappa1, p.gamma),
+        raise_right=_exp_shifted(_kappa_exponent(p, 1, 0), p.gamma),
+        raise_left=_exp_shifted(_kappa_exponent(p, 0, 1), p.gamma),
+        lower_right=_exp_shifted(_kappa_exponent(p, 0, -1), p.gamma),
+        lower_left=_exp_shifted(_kappa_exponent(p, -1, 0), p.gamma),
     )
 
 
 def antipode_weights(p):
     """The solved antipode coefficients exp(-+(kappa1+kappa2)(N+gamma)+kappa_i)."""
-    ks = p.kappa1 + p.kappa2
     return AntipodeWeights(
-        raising=_exp_shifted(-ks, p.gamma, extra=p.kappa1),
-        lowering=_exp_shifted(ks, p.gamma, extra=p.kappa2),
+        raising=_exp_shifted(_kappa_exponent(p, -1, -1), p.gamma, extra=p.kappa1),
+        lowering=_exp_shifted(_kappa_exponent(p, 1, 1), p.gamma, extra=p.kappa2),
     )
 
 
@@ -277,9 +290,6 @@ class AlgebraElement:
 
     def max_raise(self):
         return max((r for r, _ in self.terms), default=0)
-
-    def max_lower(self):
-        return max((s for _, s in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -506,7 +516,7 @@ class HopfOscillator:
 
     def _leg_monomial(self, rs, piece):
         """One separable leg factor as a standalone algebra element."""
-        return AlgebraElement(self, {rs: ExpPoly(1, {(piece,): 1.0 + 0j})})
+        return AlgebraElement(self, {rs: ExpPoly(1, {(piece,): 1.0 + 0j}, canonical=True)})
 
     def tensor_product(self, t, u):
         """Componentwise product (x1 (x) x2) (y1 (x) y2) = x1 y1 (x) x2 y2,
@@ -547,7 +557,7 @@ class HopfOscillator:
                                     coeff *= a
                                 raw[tuple(pk for (pk,), _ in parts)] = coeff
                             _acc(out, tuple(k for k, _ in combo),
-                                 ExpPoly(legs, raw, scale=scale))
+                                 ExpPoly(legs, raw, scale=scale, canonical=True))
         return TensorElement(self, legs, out)
 
     # -------------------------------------------------------------- coproduct
@@ -604,7 +614,8 @@ class HopfOscillator:
                         if i == leg:
                             continue
                         pos = i if i < leg else i + 1
-                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j}).embed(legs + 1, pos)
+                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j},
+                                                  canonical=True).embed(legs + 1, pos)
                     _acc(out, nk, lifted)
         return TensorElement(self, legs + 1, out)
 
@@ -631,7 +642,7 @@ class HopfOscillator:
                 w = c * cmath.exp(mu * cp) * cp**k
                 nk = key[:leg] + key[leg + 1:]
                 npk = pk[:leg] + pk[leg + 1:]
-                _acc(out, nk, ExpPoly(legs - 1, {npk: w}, scale=poly.scale))
+                _acc(out, nk, ExpPoly(legs - 1, {npk: w}, scale=poly.scale, canonical=True))
         if legs - 1 == 1:
             # 1-leg keys are 1-tuples of (r, s); unwrap to algebra terms
             return AlgebraElement(self, {key[0]: poly for key, poly in out.items()})
@@ -668,7 +679,8 @@ class HopfOscillator:
                     for i in range(legs):
                         if i == leg:
                             continue
-                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j}).embed(legs, i)
+                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j},
+                                                  canonical=True).embed(legs, i)
                     _acc(out, nk, lifted)
         return TensorElement(self, legs, out)
 
@@ -680,8 +692,8 @@ class HopfOscillator:
         total = AlgebraElement(self, {})
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
-                m1 = AlgebraElement(self, {key[0]: ExpPoly(1, {(pk[0],): complex(c)},
-                                                           scale=poly.scale)})
+                m1 = AlgebraElement(self, {key[0]: ExpPoly(1, {(pk[0],): c}, scale=poly.scale,
+                                                           canonical=True)})
                 m2 = self._leg_monomial(key[1], pk[1])
                 total = total + self.product(m1, m2)
         return total

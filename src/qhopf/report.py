@@ -12,16 +12,12 @@ __all__ = ["TOOL_VERSION", "CheckResult", "CheckReport", "jsonable"]
 
 def jsonable(value):
     """Recursively convert to JSON-ready types; complex becomes [re, im]."""
-    return _jsonable(value)
-
-
-def _jsonable(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -73,7 +69,7 @@ class CheckReport:
     def to_dict(self):
         return {
             "tool_version": self.tool_version,
-            "params": _jsonable(self.params),
+            "params": jsonable(self.params),
             "checks": [c.to_dict() for c in self.checks],
             "overall": self.overall,
         }

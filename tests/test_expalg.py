@@ -287,10 +287,31 @@ def test_canonical_uniqueness_exact():
             assert back.terms[key] == c
 
 
-def test_exponent_merge_tolerance():
+def test_exponents_merge_only_when_equal():
+    # 0.4 and 0.4 + 1e-12j are different exponents: both terms stay
     f = ExpPoly(1, {((0.4 + 0j, 0),): 1.0, ((0.4 + 1e-12j, 0),): 1.0})
-    assert len(f.terms) == 1
+    assert len(f.terms) == 2
     assert f(0) == pytest.approx(2.0)
+
+
+def test_canonical_form_ignores_unrelated_terms():
+    # exponents 0 and 1e-9 with coefficients +-1 neither cancel nor merge,
+    # alone or beside a term whose exponent lies between them in real part
+    pair = {((0j, 0),): 1.0, ((1e-9 + 0j, 0),): -1.0}
+    alone = ExpPoly(1, pair)
+    beside = ExpPoly(1, {**pair, ((5e-10 + 5j, 0),): 1.0})
+    assert alone.terms == {key: c for key, c in beside.terms.items() if key in alone.terms}
+    assert len(alone.terms) == 2 and len(beside.terms) == 3
+
+
+def test_products_of_exponents_are_exact():
+    # e^{aV} e^{bV} e^{-aV} is e^{bV} with b's bits, in any order of products
+    a, b = ExpPoly.exponential(0.1 + 0.7j), ExpPoly.exponential(0.2 - 0.3j)
+    inv_a = ExpPoly.exponential(-0.1 - 0.7j)
+    for prod in (a * b * inv_a, (a * inv_a) * b, a * (b * inv_a)):
+        assert list(prod.terms) == list(b.terms)
+        ((mu, _),) = next(iter(prod.terms))
+        assert mu == 0.2 - 0.3j
 
 
 def test_prune_records_residual_floor():

@@ -377,6 +377,16 @@ def test_axioms_pass_on_every_branch(fixture, request):
     assert rep.max_residual() < 1e-12
 
 
+def test_axioms_pass_with_kappa1_next_to_a_guard_exponent():
+    # kappa1 lies 1e-10 from the -0.2 of the guard adag N e^{-0.2N} a^2: the
+    # two exponents must stay apart (identifying them failed antipode-right
+    # by 2e-11)
+    p = build_params(-0.2 + 1e-10j, -0.44 + 0.27j, 1.13 + 0.45j, 0.97 + 0.16j)
+    rep = HopfOscillator(p).check_axioms()
+    assert rep.passed, [(c.name, c.residual) for c in rep.failures()]
+    assert rep.max_residual() < 1e-12
+
+
 def test_perturbed_counit_fails(prop1_params):
     p = prop1_params
     rep = HopfOscillator(p, counit_point=-p.gamma + 0.1).check_axioms()
