@@ -16,7 +16,11 @@ Two representation layers:
 The universal R-matrix is assembled per sector from its series, both in the
 general (kappa1, kappa2, gamma) form and, independently, in the q-oscillator
 (eps, alpha, beta, k) form, and the quasitriangularity relations plus the
-Yang-Baxter equation are checked as finite matrix identities.
+Yang-Baxter equation are checked as finite matrix identities.  Every check
+reads R, and its 3-leg embeddings R12, R13 and R23, from the same 2-leg
+sector blocks the dump writes.  None of them inverts R: the intertwiner is
+checked as R coproduct(h) = twist(coproduct(h)) R, so an ill-conditioned
+block at a high sector cap does not fail a relation that holds.
 """
 
 from __future__ import annotations
@@ -72,6 +76,24 @@ def _structure_values(params, n_max):
     return f_vals, sqrt_f, hermitian
 
 
+def _ladder_amps(sqrt_f, levels, max_r):
+    """Ladder amplitude tables on levels 0..levels-1, multiplied up factor by
+    factor: lower_amp[n][s] = sqrt(F(n) F(n-1) .. F(n-s+1)) for s <= n and
+    raise_amp[n][r] = sqrt(F(n+1) .. F(n+r)) for r <= max_r, as far as
+    ``sqrt_f`` reaches."""
+    lower_amp, raise_amp = [], []
+    for n in range(levels):
+        row = [1.0 + 0j]
+        for u in range(n):
+            row.append(row[-1] * sqrt_f[n - u])
+        lower_amp.append(row)
+        row = [1.0 + 0j]
+        for u in range(1, min(max_r, len(sqrt_f) - 1 - n) + 1):
+            row.append(row[-1] * sqrt_f[n + u])
+        raise_amp.append(row)
+    return lower_amp, raise_amp
+
+
 class FockWindow:
     """Truncated Fock-type module (the Casimir-zero representation).
 
@@ -115,24 +137,14 @@ class FockWindow:
         """The triple (a, adag, N) as dense arrays."""
         return self.lowering_matrix(), self.raising_matrix(), self.number_matrix()
 
-    def _lower_amp(self, col, s):
-        amp = 1.0 + 0j
-        for t in range(s):
-            amp *= self.sqrt_f[col - t]
-        return amp
-
-    def _raise_amp(self, base, r):
-        amp = 1.0 + 0j
-        for t in range(1, r + 1):
-            amp *= self.sqrt_f[base + t]
-        return amp
-
     def represent(self, x):
         """Dense matrix of a normal-ordered element on the window.
 
         Single monomials are exact on every window entry (only matrix
         products of separately represented factors feel the truncation).
         """
+        max_r = max((r for r, _ in x.terms), default=0)
+        lower_amp, raise_amp = _ladder_amps(self.sqrt_f, self.dim, max_r)
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for (r, s), f in x.terms.items():
             for col in range(s, self.dim):
@@ -140,14 +152,25 @@ class FockWindow:
                 row = m + r
                 if row >= self.dim:
                     continue
-                mat[row, col] += f(m) * self._lower_amp(col, s) * self._raise_amp(m, r)
+                mat[row, col] += f(m) * lower_amp[col][s] * raise_amp[m][r]
         return mat
 
 
 def _rel_residual(a, b):
-    """Relative Frobenius distance ||a - b|| / max(||a||, ||b||)."""
-    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
-    return float(np.linalg.norm(a - b) / scale)
+    """Relative Frobenius distance ||a - b|| / max(||a||, ||b||).
+
+    When a norm overflows although every entry is finite, both blocks are
+    divided by their largest real or imaginary part and the distance is taken
+    again; it is inf only when an entry itself is not finite.
+    """
+    with np.errstate(over="ignore"):
+        norms = (np.linalg.norm(a), np.linalg.norm(b), np.linalg.norm(a - b))
+    if all(map(math.isfinite, norms)):
+        return float(norms[2] / max(norms[0], norms[1], 1e-300))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
+    top = max(np.abs(z).max(initial=0.0) for z in (a.real, a.imag, b.real, b.imag))
+    return _rel_residual(a / top, b / top)
 
 
 def interior_residual(a, b, margin):
@@ -253,18 +276,7 @@ def represent_tensor(t, source, m_max):
     max_r = max((max(highs) for _, highs, _ in terms), default=0)
     _, sqrt_f, _ = _structure_values(params, m_max + max_r + 1)
 
-    # lower_amp[n][s] = sqrt(F(n) F(n-1) .. F(n-s+1)) and
-    # raise_amp[n][r] = sqrt(F(n+1) .. F(n+r)), multiplied up factor by factor
-    lower_amp, raise_amp = [], []
-    for n in range(m_max + 1):
-        row = [1.0 + 0j]
-        for u in range(n):
-            row.append(row[-1] * sqrt_f[n - u])
-        lower_amp.append(row)
-        row = [1.0 + 0j]
-        for u in range(1, max_r + 1):
-            row.append(row[-1] * sqrt_f[n + u])
-        raise_amp.append(row)
+    lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, max_r)
 
     # Term by term, only the states a term reaches: st = lows + mids with mids
     # in the sector of level m - sum(lows).  Each entry still takes its
@@ -426,8 +438,12 @@ def _blocks_from_amplitude(amp, m_max):
     return SectorOperator(2, 0, blocks)
 
 
-def _embed_pair(amp, pair, m_max):
-    """3-leg embedding of a 2-leg degree-0 amplitude acting on legs ``pair``."""
+def _embed_pair(r2, pair, m_max):
+    """3-leg embedding of a 2-leg degree-0 operator acting on legs ``pair``.
+
+    Legs (i, j) of a 3-leg state span the 2-leg sector n_i + n_j, so each
+    3-leg entry is the one entry of the 2-leg block ``r2`` it equals.
+    """
     i, j = pair
     blocks = {}
     for m in range(m_max + 1):
@@ -435,11 +451,12 @@ def _embed_pair(amp, pair, m_max):
         index = {st: t for t, st in enumerate(states)}
         block = np.zeros((len(states), len(states)), dtype=complex)
         for col, st in enumerate(states):
-            for n in range(st[i] + 1):
-                target = list(st)
-                target[i] -= n
-                target[j] += n
-                block[index[tuple(target)], col] += amp(st[i], st[j], n)
+            sub = st[i] + st[j]
+            column = r2.blocks[sub][:, st[j]]
+            target = list(st)
+            for row in range(sub + 1):
+                target[i], target[j] = sub - row, row
+                block[index[tuple(target)], col] = column[row]
         blocks[m] = block
     return SectorOperator(3, 0, blocks)
 
@@ -505,28 +522,23 @@ def _split_prefactor_diag(params, states, mode):
     return out
 
 
-def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None,
-                             cond_cap=1e12):
+def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """Verify the three quasitriangularity relations per sector M <= m_max.
 
     (coproduct (x) id) R = R13 R23 and (id (x) coproduct) R = R13 R12 are
     evaluated by applying the symbolic coproduct to the series factors (the
-    series is finite per sector) and representing the result exactly; the
-    intertwiner relation twist(coproduct(h)) = R coproduct(h) R^{-1} is
-    checked for h in {a, adag, N} with per-sector dense inversion.  Residuals
-    are relative Frobenius norms and are always reported raw; the intertwiner
-    pass threshold widens to eps_mach * cond(R_M) when the sector block is
-    ill-conditioned (the inversion cannot do better), with the condition
-    number recorded as the witness.  A block beyond ``cond_cap`` is reported
-    as a failed invertibility check with its condition number.
+    series is finite per sector) and representing the result exactly.  The
+    intertwiner relation is checked inverse-free, as R_{M+d} coproduct(h)_M =
+    twist(coproduct(h))_M R_M for h in {a, adag, N} of level shift d, so no
+    sector cap or ill-conditioned R_M makes it fail a true identity.  R is the
+    ``build_rmatrix(params, m_max, lambda_sq)`` the dump and Yang-Baxter use.
+    Residuals are relative Frobenius norms, each judged against ``tol``.
     """
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
-    amp = _RMatrixAmplitude(params, m_max + 1, lambda_sq)
+    amp = _RMatrixAmplitude(params, m_max, lambda_sq)
     r2 = _blocks_from_amplitude(amp, m_max)
-    r12 = _embed_pair(amp, (0, 1), m_max)
-    r13 = _embed_pair(amp, (0, 2), m_max)
-    r23 = _embed_pair(amp, (1, 2), m_max)
+    r12, r13, r23 = (_embed_pair(r2, pair, m_max) for pair in ((0, 1), (0, 2), (1, 2)))
 
     series = _series_tensor_terms(algebra, amp, m_max)
     split_left = algebra.coproduct_on_leg(series, 0)
@@ -546,36 +558,18 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None,
 
     probes = [("a", algebra.lowering(), -1), ("adag", algebra.raising(), +1),
               ("N", algebra.number_op(), 0)]
-    inverses, conds = {}, {}
-    for m in range(m_max + 1):
-        cond = float(np.linalg.cond(r2.blocks[m]))
-        if cond > cond_cap:
-            rep.add(f"rmatrix-invertible[M={m}]", False, cond,
-                    f"condition number {cond:.3e}")
-            continue
-        conds[m] = cond
-        inverses[m] = np.linalg.inv(r2.blocks[m])
-    eps_mach = float(np.finfo(float).eps)
     for name, h, deg in probes:
         dh = represent_tensor(algebra.coproduct(h), params, m_max)
         th = represent_tensor(algebra.twist(algebra.coproduct(h)), params, m_max)
-        for m in range(m_max + 1):
-            if m + deg < 0 or m + deg > m_max or m not in inverses:
-                continue
-            lhs = r2.blocks[m + deg] @ dh.blocks[m] @ inverses[m]
-            r = _rel_residual(lhs, th.blocks[m])
-            threshold = max(tol, eps_mach * conds[m])
-            witness = (f"threshold widened to {threshold:.2e} by condition "
-                       f"number {conds[m]:.2e}") if threshold > tol else None
-            rep.add(f"intertwiner-{name}[M={m}]", r <= threshold, r, witness)
+        for m in range(max(0, -deg), min(m_max, m_max - deg) + 1):
+            r = _rel_residual(r2.blocks[m + deg] @ dh.blocks[m], th.blocks[m] @ r2.blocks[m])
+            rep.add(f"intertwiner-{name}[M={m}]", r <= tol, r)
     return rep
 
 
-def _yang_baxter_report(amp, m_max, tol, params_echo):
+def _yang_baxter_report(r2, m_max, tol, params_echo):
     rep = CheckReport(params=params_echo)
-    r12 = _embed_pair(amp, (0, 1), m_max)
-    r13 = _embed_pair(amp, (0, 2), m_max)
-    r23 = _embed_pair(amp, (1, 2), m_max)
+    r12, r13, r23 = (_embed_pair(r2, pair, m_max) for pair in ((0, 1), (0, 2), (1, 2)))
     for m in range(m_max + 1):
         lhs = r12.blocks[m] @ r13.blocks[m] @ r23.blocks[m]
         rhs = r23.blocks[m] @ r13.blocks[m] @ r12.blocks[m]
@@ -586,11 +580,10 @@ def _yang_baxter_report(amp, m_max, tol, params_echo):
 
 def check_yang_baxter(params, m_max, tol=1e-8, lambda_sq=None):
     """R12 R13 R23 = R23 R13 R12 per 3-leg sector, general form."""
-    amp = _RMatrixAmplitude(params, m_max, lambda_sq)
-    return _yang_baxter_report(amp, m_max, tol, params.to_dict())
+    return _yang_baxter_report(build_rmatrix(params, m_max, lambda_sq), m_max, tol,
+                               params.to_dict())
 
 
 def check_yang_baxter_oh_singh(o, m_max, tol=1e-8):
     """Yang-Baxter check on the blocks built from the q-oscillator form."""
-    amp = _OhSinghAmplitude(o, m_max)
-    return _yang_baxter_report(amp, m_max, tol, o.to_dict())
+    return _yang_baxter_report(build_rmatrix_oh_singh(o, m_max), m_max, tol, o.to_dict())

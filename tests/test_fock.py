@@ -98,6 +98,34 @@ def test_cross_layer_products(prop1_params):
         done += 1
 
 
+@pytest.mark.parametrize("complex_pack", [False, True])
+def test_window_represent_equals_reference_loop(complex_pack):
+    # FockWindow.represent against a per-entry loop that multiplies each
+    # ladder amplitude up on the spot, in the same factor order
+    p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j) if complex_pack \
+        else proposition1_params(0.6, 0.8, 0, 1.0)
+    alg = HopfOscillator(p)
+    w = FockWindow(p, 11)
+    rng = random.Random(62)
+    x = alg.from_function(alg.g)
+    for _ in range(6):
+        x = x + random_monomial(alg, rng, max_rs=4)
+    want = np.zeros((w.dim, w.dim), dtype=complex)
+    for (r, s), f in x.terms.items():
+        for col in range(s, w.dim):
+            m = col - s
+            if m + r >= w.dim:
+                continue
+            low = 1.0 + 0j
+            for t in range(s):
+                low *= w.sqrt_f[col - t]
+            high = 1.0 + 0j
+            for t in range(1, r + 1):
+                high *= w.sqrt_f[m + t]
+            want[m + r, col] += f(m) * low * high
+    assert np.array_equal(w.represent(x), want)
+
+
 # ------------------------------------------------------------------- sectors
 def test_sector_bases():
     assert sector_states(2, 2) == [(2, 0), (1, 1), (0, 2)]

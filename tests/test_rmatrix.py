@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ import pytest
 from qhopf import (OhSinghParams, build_params, build_rmatrix, build_rmatrix_oh_singh,
                    check_quasitriangularity, check_yang_baxter,
                    check_yang_baxter_oh_singh, compare_sector_operators,
-                   param_map_oh_singh, proposition1_params, represent_tensor)
-from qhopf.fock import SectorOperator, _OhSinghAmplitude, _RMatrixAmplitude
+                   param_map_oh_singh, proposition1_params, represent_tensor,
+                   sector_states)
+from qhopf.cli import main
+from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _embed_pair,
+                        _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude,
+                        _series_tensor_terms)
 from qhopf.hopf import HopfOscillator
-from qhopf.fock import _series_tensor_terms
 
 
 # ------------------------------------------------------------- block structure
@@ -183,3 +188,111 @@ def test_quasitriangularity_on_mapped_oh_singh_sets():
         rep = check_quasitriangularity(p, 4)
         assert rep.passed
         assert rep.max_residual() < 1e-9
+
+
+# ------------------------------------------------- inverse-free, any sector cap
+HIGH_M_PACKS = [
+    build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j),
+    proposition1_params(0.5, 0.8, 0, 1.0),
+]
+
+
+@pytest.mark.parametrize("m_max", [12, 16])
+@pytest.mark.parametrize("pack", range(len(HIGH_M_PACKS)))
+def test_quasitriangularity_and_yang_baxter_at_high_sector(pack, m_max):
+    # R_M grows ill-conditioned with M (cond(R_10) > 1e14 on these packs);
+    # the inverse-free intertwiner does not care
+    p = HIGH_M_PACKS[pack]
+    rep = check_quasitriangularity(p, m_max)
+    assert rep.passed, [c.name for c in rep.failures()]
+    assert {c.name for c in rep.checks} >= {f"intertwiner-a[M={m_max}]",
+                                            f"intertwiner-adag[M={m_max - 1}]",
+                                            f"intertwiner-N[M={m_max}]"}
+    assert check_yang_baxter(p, m_max).passed
+
+
+def test_quasitriangularity_needs_no_dense_inverse(monkeypatch, generic_params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense inverse taken")
+
+    for name in ("inv", "cond", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = check_quasitriangularity(generic_params, 6)
+    assert rep.passed
+    assert sum(c.name.startswith("intertwiner-") for c in rep.checks) == 3 * 7 - 2
+
+
+def reference_embed_pair(amp, pair, m_max):
+    """3-leg embedding evaluated entrywise from the amplitude."""
+    i, j = pair
+    blocks = {}
+    for m in range(m_max + 1):
+        states = sector_states(m, 3)
+        block = np.zeros((len(states), len(states)), dtype=complex)
+        for col, st in enumerate(states):
+            for n in range(st[i] + 1):
+                target = list(st)
+                target[i] -= n
+                target[j] += n
+                block[states.index(tuple(target)), col] += amp(st[i], st[j], n)
+        blocks[m] = block
+    return blocks
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("form", ["general", "oh-singh"])
+def test_embed_pair_equals_amplitude_loop(pair, form):
+    m_max = 8
+    if form == "general":
+        amp = _RMatrixAmplitude(build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j,
+                                             1.2 + 0.2j), m_max)
+    else:
+        amp = _OhSinghAmplitude(OhSinghParams(0.5, 1.2, 0.3, 0), m_max)
+    got = _embed_pair(_blocks_from_amplitude(amp, m_max), pair, m_max)
+    want = reference_embed_pair(amp, pair, m_max)
+    for m in range(m_max + 1):
+        assert np.array_equal(got.blocks[m], want[m])
+
+
+# --------------------------------------------------------- residual overflow
+def test_rel_residual_survives_norm_overflow():
+    a = np.array([[1e200, 2e200j], [0.0, -3e199]])
+    b = a * (1 + 1e-15)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(a))
+    assert _rel_residual(a, b) == pytest.approx(_rel_residual(a * 1e-200, b * 1e-200))
+    b[1, 0] = np.inf
+    assert _rel_residual(a, b) == math.inf
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_overflowing_blocks_give_strict_json(capsys):
+    # acceptance set proposition1_params(0.3, 2.0, 2, 1.5): block norms
+    # overflow while every entry stays finite, and numpy must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify-rmatrix", "--kappa1=0.15", "--kappa2=-0.15", "--gamma1=2.0",
+                     "--k=2", "--g0=1.5", "--max-sector=8", "--format", "json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_refuse_constant)
+    assert code == 0 and report["overall"] == "pass"
+    assert max(c["residual"] for c in report["checks"]) < 1e-12
+
+
+# ------------------------------------------------------------ sector cap edge
+VANISHING_3 = ["--kappa1", repr(2 * math.pi / 3) + "i", "--kappa2", "0",
+               "--gamma1", "0.7", "--g0", "1"]
+
+
+def test_bracket_beyond_the_cap_does_not_stop_the_run(capsys):
+    # [3]_X = 0 on this pack, but sectors M <= 2 never reach n = 3
+    assert main(["verify-rmatrix", *VANISHING_3, "--max-sector", "2"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+def test_bracket_inside_the_cap_is_a_parameter_error(capsys):
+    assert main(["verify-rmatrix", *VANISHING_3, "--max-sector", "3"]) == 2
+    assert "error: [3]_X vanishes" in capsys.readouterr().err
