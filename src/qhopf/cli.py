@@ -15,7 +15,8 @@ Parameters are accepted either in oscillator form (--kappa1 --kappa2
 additionally accepts the real-decomposition form (--xi --eta --gamma1
 --gamma2).  A JSON --config file may supply the same keys; explicit flags
 win.  Exit codes: 0 all checks passed, 1 some check failed or a numeric
-overflow was reported, 2 usage or parameter error.
+overflow was reported, 2 usage or parameter error (parameters out of
+floating-point range included).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .constraints import (HermiticityInput, OhSinghParams, classify_family,
                           classify_hermiticity, param_map_inverse, param_map_oh_singh,
@@ -394,37 +397,33 @@ def main(argv=None):
         return exc.code if exc.code else 0
     try:
         vals = _Values(ns, _load_config(ns.config))
-        if ns.command == "classify":
-            rep = _cmd_classify(vals)
-        elif ns.command == "verify-hopf":
-            rep = _cmd_verify_hopf(vals)
-        elif ns.command == "verify-rmatrix":
-            rep = _cmd_verify_rmatrix(vals, ns.oh_singh, ns.dump_blocks)
-        elif ns.command == "tabulate":
-            rep = _cmd_tabulate(vals, sys.stdout)
-        else:
-            rep = _cmd_convert(vals)
-    except UsageError as exc:
+        # a numpy overflow, division by zero or invalid operation raises
+        # FloatingPointError, an ArithmeticError, instead of warning
+        with np.errstate(all="raise", under="ignore"):
+            if ns.command == "classify":
+                rep = _cmd_classify(vals)
+            elif ns.command == "verify-hopf":
+                rep = _cmd_verify_hopf(vals)
+            elif ns.command == "verify-rmatrix":
+                rep = _cmd_verify_rmatrix(vals, ns.oh_singh, ns.dump_blocks)
+            elif ns.command == "tabulate":
+                rep = _cmd_tabulate(vals, sys.stdout)
+            else:
+                rep = _cmd_convert(vals)
+    except (UsageError, ValueError) as exc:
+        # usage errors, and parameter-level failures surfaced by the library
+        # (vanishing series normalization, out-of-image inversions, ...)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # parameter-level failures surfaced by the library (vanishing
-        # series normalization, out-of-image inversions, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # extreme but well-formed parameters overflow cosh/sinh/exp while
-        # the pack is derived or classified
-        print(f"error: parameters out of floating-point range ({exc})", file=sys.stderr)
         return 2
     except EvaluationOverflow as exc:
         rep = CheckReport()
         rep.add("numeric-overflow", False, float("inf"), str(exc))
-        if ns.format == "json":
-            print(rep.to_json())
-        else:
-            print("\n".join(rep.summary_lines()))
-        return 1
+    except ArithmeticError as exc:
+        # extreme but well-formed parameters overflow cosh/sinh/exp or a
+        # numpy array, divide by an underflowed zero or leave an
+        # antidifference that cannot close
+        print(f"error: parameters out of floating-point range ({exc})", file=sys.stderr)
+        return 2
     if ns.format == "json":
         print(rep.to_json())
     else:

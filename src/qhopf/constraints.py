@@ -16,15 +16,12 @@ import math
 from dataclasses import dataclass
 
 from .expalg import ExpPoly
-from .hopf import (HopfParams, antipode_weights, build_params, coproduct_weights,
-                   g_function)
+from .hopf import antipode_weights, build_params, coproduct_weights, g_function
 from .report import CheckReport
 
 __all__ = [
     "HermiticityInput",
-    "FamilyVerdict",
     "OhSinghParams",
-    "FAMILIES",
     "verify_ci_conditions",
     "verify_g_recursion",
     "classify_hermiticity",
@@ -36,9 +33,6 @@ __all__ = [
     "q_bracket",
     "oh_singh_g_poly",
 ]
-
-FAMILIES = ("proposition1", "suq2_like", "suq11_like", "su2_like", "su11_like",
-            "non_hermitian", "degenerate_kappa_real_gamma")
 
 _TINY = 1e-12
 
@@ -87,8 +81,7 @@ class OhSinghParams:
 
 
 # --------------------------------------------------------------------- chains
-def verify_ci_conditions(params, max_order=6, weights=None, antipode_pair=None,
-                         tol=1e-12):
+def verify_ci_conditions(params, max_order=6, weights=None, tol=1e-12):
     """Check the conditions that single out the coproduct coefficients.
 
     For each of the four coefficient functions c: the derivative
@@ -101,7 +94,7 @@ def verify_ci_conditions(params, max_order=6, weights=None, antipode_pair=None,
     if max_order > 12:
         raise ValueError("max_order capped at 12")
     w = weights if weights is not None else coproduct_weights(params)
-    aw = antipode_pair if antipode_pair is not None else antipode_weights(params)
+    aw = antipode_weights(params)
     gamma = params.gamma
     rep = CheckReport(params=params.to_dict())
 
@@ -319,32 +312,21 @@ def pointwise_reality(h, g0=1.0, n_max=20):
 
 
 def classify_family(p, tol=1e-10):
-    """Name the family of a full parameter pack, branch-aware.
+    """Name the family of a full parameter pack.
 
-    On the generic branch this defers to the coefficient-space Hermiticity
-    test; the note records whether the Hopf structure carries the extra
-    parameter kappa1 + kappa2 on top of the q-oscillator one.
+    A real G(0) (G'(0) on gamma_zero) defers to the coefficient-space
+    Hermiticity test at (kappa, gamma) on every branch; the note records
+    whether the Hopf structure carries the extra parameter kappa1 + kappa2 on
+    top of the q-oscillator one.
     """
     g0 = p.g0
-    g0_real = abs(g0.imag) <= tol * max(1.0, abs(g0))
-    if p.branch == "gamma_zero":
-        if not g0_real:
-            return FamilyVerdict(False, "non_hermitian", notes="G'(0) is not real")
-        verdict = classify_hermiticity(
-            HermiticityInput(p.kappa.real, p.kappa.imag, 0.0, 0.0), g_slope=g0.real,
-            tol=tol)
-    elif p.branch == "degenerate_kappa":
-        if not g0_real:
-            return FamilyVerdict(False, "non_hermitian", notes="G(0) is not real")
-        verdict = classify_hermiticity(
-            HermiticityInput(0.0, 0.0, p.gamma.real, p.gamma.imag), g_slope=g0.real,
-            tol=tol)
-    else:
-        if not g0_real:
-            return FamilyVerdict(False, "non_hermitian", notes="G(0) is not real")
-        verdict = classify_hermiticity(
-            HermiticityInput(p.kappa.real, p.kappa.imag, p.gamma.real, p.gamma.imag),
-            g_slope=g0.real, tol=tol)
+    if abs(g0.imag) > tol * max(1.0, abs(g0)):
+        name = "G'(0)" if p.branch == "gamma_zero" else "G(0)"
+        return FamilyVerdict(False, "non_hermitian", notes=f"{name} is not real")
+    # build_params snaps gamma = 0 and kappa = 0 exactly on the degenerate branches
+    verdict = classify_hermiticity(
+        HermiticityInput(p.kappa.real, p.kappa.imag, p.gamma.real, p.gamma.imag),
+        g_slope=g0.real, tol=tol)
     ksum = p.kappa1 + p.kappa2
     if abs(ksum) < _TINY:
         extra = "coincides with the q-oscillator Hopf structure (kappa1 = -kappa2)"

@@ -49,8 +49,6 @@ import math
 import numbers
 from itertools import product as _cartesian
 
-import numpy as np
-
 __all__ = [
     "EXP_ARG_CAP",
     "PRUNE_REL_TOL",
@@ -515,11 +513,14 @@ def antidifference(f):
     """The function F with F(V+1) - F(V) = f(V) and F(0) = 0 (one variable).
 
     Solved exactly: for each exponent mu an ansatz exp(mu*V) * q(V) with
-    polynomial q turns the difference equation into a small linear system.
-    The system is upper triangular and regular when exp(mu) != 1; at
-    exp(mu) = 1 the polynomial degree rises by one and the singular system is
-    solved in the least-squares sense (it is consistent), with the free
-    constant fixed by the F(0) = 0 normalization afterwards.
+    polynomial q turns the difference equation into z q(V+1) - q(V) = p(V),
+    z = exp(mu), whose coefficient equations
+
+        (z - 1) q_j + z * sum_{i > j} C(i, j) q_i = p_j
+
+    are triangular and are solved by back-substitution from the top degree
+    down.  At exp(mu) = 1 the degree rises by one, equation j fixes q_{j+1}
+    instead, and q_0 is left free for the F(0) = 0 normalization to fix.
     """
     if f.arity != 1:
         raise ValueError("antidifference expects a one-variable function")
@@ -530,20 +531,15 @@ def antidifference(f):
     for mu, poly in groups.items():
         z = cmath.exp(mu)
         deg = max(poly)
-        d = deg if abs(z - 1) > 1e-9 else deg + 1
-        mat = np.zeros((d + 1, d + 1), dtype=complex)
-        rhs = np.zeros(d + 1, dtype=complex)
-        for i in range(d + 1):
-            for j in range(i + 1):
-                mat[j, i] += z * math.comb(i, j)
-            mat[i, i] -= 1.0
-        for k, c in poly.items():
-            rhs[k] = c
-        if abs(z - 1) > 1e-9:
-            q = np.linalg.solve(mat, rhs)
-        else:
-            q = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-        total = total + ExpPoly(1, {((mu, k),): complex(q[k]) for k in range(d + 1)},
+        lead = 0 if abs(z - 1) > 1e-9 else 1  # equation j fixes q_{j + lead}
+        rhs = [poly.get(j, 0j) for j in range(deg + 1)]
+        q = [0j] * (deg + 1 + lead)
+        for j in range(deg, -1, -1):
+            m = j + lead
+            q[m] = rhs[j] / (z * math.comb(m, j) - (1 - lead))
+            for i in range(j):
+                rhs[i] -= q[m] * (z * math.comb(m, i))
+        total = total + ExpPoly(1, {((mu, k),): c for k, c in enumerate(q)},
                                 scale=f.scale, canonical=True)
     total = total - ExpPoly.constant(total.evaluate(0), 1)
     closure = total.shift(1) - total - f

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, capped_exp, exponent
-from .hopf import HopfOscillator, HopfParams, g_function
+from .hopf import HopfOscillator, structure_function_values
 from .report import CheckReport, jsonable
 
 __all__ = [
@@ -63,10 +63,7 @@ def _structure_values(params, n_max):
     The same arrays back every representation so the square-root branch is
     consistent across the symbolic/numeric bridge.
     """
-    g = g_function(params)
-    f_vals = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max):
-        f_vals[n + 1] = f_vals[n] + g(n)
+    f_vals = np.array(structure_function_values(params, n_max), dtype=complex)
     hermitian = bool(np.all(np.abs(f_vals.imag) <= 1e-12 * np.maximum(1.0, np.abs(f_vals)))
                      and np.all(f_vals[1:].real > 0))
     if hermitian:
@@ -118,24 +115,11 @@ class FockWindow:
         self.sqrt_f = sqrt_f
 
     # ------------------------------------------------------------- matrices
-    def lowering_matrix(self):
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for n in range(1, self.dim):
-            mat[n - 1, n] = self.sqrt_f[n]
-        return mat
-
-    def raising_matrix(self):
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for n in range(self.dim - 1):
-            mat[n + 1, n] = self.sqrt_f[n + 1]
-        return mat
-
-    def number_matrix(self):
-        return np.diag(np.arange(self.dim, dtype=float)).astype(complex)
-
     def matrices(self):
         """The triple (a, adag, N) as dense arrays."""
-        return self.lowering_matrix(), self.raising_matrix(), self.number_matrix()
+        algebra = HopfOscillator(self.params)
+        return tuple(self.represent(x) for x in
+                     (algebra.lowering(), algebra.raising(), algebra.number_op()))
 
     def represent(self, x):
         """Dense matrix of a normal-ordered element on the window.
@@ -211,9 +195,6 @@ class SectorOperator:
     legs: int
     degree: int
     blocks: dict = field(default_factory=dict)
-
-    def block(self, m):
-        return self.blocks[m]
 
     def sectors(self):
         return sorted(self.blocks)

@@ -21,6 +21,11 @@ exactly, and kappa2 = -kappa1 (the q-oscillator presentation) makes
 kappa1 + kappa2 = 0 exactly.  Shifts move exp(mu * c) into the coefficient
 and never create new exponents.
 
+``AlgebraElement`` and ``TensorElement`` share one element core for their
+arithmetic and keep only their own product and shape.  The coproduct and the
+antipode act inside one leg of a tensor element through one leg map, which
+puts the image of each leg monomial in that leg's place.
+
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function and the powers coproduct(adag)^r and
 coproduct(a)^s; ``tensor_product`` memoizes single-leg products only for the
@@ -239,40 +244,67 @@ def _acc(store, key, poly):
         store[key] = poly
 
 
-class AlgebraElement:
-    """Normal-ordered element: sum over (r, s) of adag^r f_{r,s}(N) a^s."""
+class _Element:
+    """Arithmetic of a dict ``terms`` from monomial keys to nonzero ExpPoly
+    coefficients; a subclass supplies ``_new`` (an element of its own kind
+    and shape), ``_check`` and ``_product``."""
 
     __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {key: f for key, f in terms.items() if not f.is_zero()}
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
-            raise ValueError("operands must belong to the same algebra")
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for key, f in other.terms.items():
             _acc(out, key, f)
-        return AlgebraElement(self.algebra, out)
+        return self._new(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {k: -f for k, f in self.terms.items()})
+        return self._new({k: -f for k, f in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.algebra.product(self, other)
-        return AlgebraElement(self.algebra, {k: f * other for k, f in self.terms.items()})
+        if isinstance(other, _Element):
+            return self._product(other)
+        return self._new({k: f * other for k, f in self.terms.items()})
 
     def __rmul__(self, other):
-        # scalars only; algebra products go through __mul__
-        return AlgebraElement(self.algebra, {k: f * other for k, f in self.terms.items()})
+        # scalars only; element products go through __mul__
+        return self._new({k: f * other for k, f in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def residual(self):
+        return max((f.rel_residual() for f in self.terms.values()), default=0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None
+
+
+class AlgebraElement(_Element):
+    """Normal-ordered element: sum over (r, s) of adag^r f_{r,s}(N) a^s."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra, terms):
+        self.algebra = algebra
+        self.terms = {key: f for key, f in terms.items() if not f.is_zero()}
+
+    def _new(self, terms):
+        return AlgebraElement(self.algebra, terms)
+
+    def _check(self, other):
+        if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
+            raise ValueError("operands must belong to the same algebra")
+
+    def _product(self, other):
+        return self.algebra.product(self, other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -282,21 +314,8 @@ class AlgebraElement:
             out = out * self
         return out
 
-    def is_zero(self):
-        return not self.terms
-
-    def residual(self):
-        return max((f.rel_residual() for f in self.terms.values()), default=0.0)
-
     def max_raise(self):
         return max((r for r, _ in self.terms), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
 
     def __repr__(self):
         if not self.terms:
@@ -313,7 +332,7 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-class TensorElement:
+class TensorElement(_Element):
     """Element of the 2- or 3-fold tensor power in the normal-ordered basis.
 
     ``terms`` maps a tuple of per-leg (r, s) pairs to an ExpPoly whose
@@ -322,7 +341,7 @@ class TensorElement:
     maps act legwise.
     """
 
-    __slots__ = ("algebra", "legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, algebra, legs, terms):
         if legs not in (2, 3):
@@ -331,49 +350,20 @@ class TensorElement:
         self.legs = legs
         self.terms = {key: f for key, f in terms.items() if not f.is_zero()}
 
+    def _new(self, terms):
+        return TensorElement(self.algebra, self.legs, terms)
+
     def _check(self, other):
         if (not isinstance(other, TensorElement) or other.algebra is not self.algebra
                 or other.legs != self.legs):
             raise ValueError("operands must be tensor elements of the same algebra and legs")
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            _acc(out, key, f)
-        return TensorElement(self.algebra, self.legs, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.legs,
-                             {k: -f for k, f in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return self.algebra.tensor_product(self, other)
-        return TensorElement(self.algebra, self.legs,
-                             {k: f * other for k, f in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def residual(self):
-        return max((f.rel_residual() for f in self.terms.values()), default=0.0)
+    def _product(self, other):
+        return self.algebra.tensor_product(self, other)
 
     def degrees(self):
         """Set of total level shifts sum_i (r_i - s_i) over the terms."""
         return {sum(r - s for r, s in key) for key in self.terms}
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
 
     def __repr__(self):
         return f"TensorElement(legs={self.legs}, terms={len(self.terms)})"
@@ -388,13 +378,11 @@ class HopfOscillator:
     solved forms.
     """
 
-    def __init__(self, params, *, g=None, weights=None, antipode_pair=None,
-                 counit_point=None):
+    def __init__(self, params, *, g=None, weights=None, counit_point=None):
         self.params = params
         self.g = g if g is not None else g_function(params)
         self.weights = weights if weights is not None else coproduct_weights(params)
-        self.antipode_pair = (antipode_pair if antipode_pair is not None
-                              else antipode_weights(params))
+        self.antipode_pair = antipode_weights(params)
         self.counit_point = (complex(counit_point) if counit_point is not None
                              else -params.gamma)
         self._ladder_sums = {}
@@ -487,27 +475,17 @@ class HopfOscillator:
 
     # ----------------------------------------------------------------- tensor
     def tensor_join(self, *factors):
-        """Tensor product of algebra elements (and/or tensor elements)."""
-        legs = sum(1 if isinstance(f, AlgebraElement) else f.legs for f in factors)
+        """Tensor product x1 (x) x2 [(x) x3] of algebra elements."""
+        legs = len(factors)
         if legs not in (2, 3):
             raise ValueError("tensor products carry 2 or 3 legs")
         out = {(): ExpPoly.constant(1.0, legs)}
-        offset = 0
-        for fac in factors:
-            width = 1 if isinstance(fac, AlgebraElement) else fac.legs
-            fac_terms = ({((key),): poly for key, poly in fac.terms.items()}
-                         if isinstance(fac, AlgebraElement) else fac.terms)
+        for leg, fac in enumerate(factors):
             nxt = {}
             for key0, poly0 in out.items():
-                for key1, poly1 in fac_terms.items():
-                    if isinstance(fac, AlgebraElement):
-                        lifted = poly1.embed(legs, offset)
-                    else:
-                        mapping = [({offset + j: 1.0}, 0j) for j in range(width)]
-                        lifted = poly1.substitute(mapping, legs)
-                    _acc(nxt, key0 + key1, poly0 * lifted)
+                for key1, poly1 in fac.terms.items():
+                    _acc(nxt, key0 + (key1,), poly0 * poly1.embed(legs, leg))
             out = nxt
-            offset += width
         return TensorElement(self, legs, out)
 
     def tensor_one(self, legs=2):
@@ -601,23 +579,7 @@ class HopfOscillator:
 
     def coproduct_on_leg(self, t, leg):
         """Apply the coproduct to one leg of a tensor element (legs -> legs+1)."""
-        legs = t.legs
-        out = {}
-        for key, poly in t.terms.items():
-            for pk, c in poly.terms.items():
-                dm = self.coproduct(self._leg_monomial(key[leg], pk[leg]))
-                for dkey, dpoly in dm.terms.items():
-                    nk = key[:leg] + dkey + key[leg + 1:]
-                    lifted = dpoly.substitute([({leg: 1.0}, 0j), ({leg + 1: 1.0}, 0j)],
-                                              legs + 1) * c
-                    for i in range(legs):
-                        if i == leg:
-                            continue
-                        pos = i if i < leg else i + 1
-                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j},
-                                                  canonical=True).embed(legs + 1, pos)
-                    _acc(out, nk, lifted)
-        return TensorElement(self, legs + 1, out)
+        return self._map_on_leg(t, leg, self.coproduct, 2)
 
     # ----------------------------------------------------------------- counit
     def counit(self, x):
@@ -668,19 +630,26 @@ class HopfOscillator:
 
     def antipode_on_leg(self, t, leg):
         """Apply the antipode inside one leg of a tensor element."""
-        legs = t.legs
+        return self._map_on_leg(t, leg, self.antipode, 1)
+
+    def _map_on_leg(self, t, leg, hopf_map, width):
+        """Apply ``hopf_map`` (``coproduct`` or ``antipode``, whose image has
+        ``width`` = 2 or 1 legs) inside leg ``leg`` of a tensor element."""
+        legs = t.legs + width - 1
+        slots = [({leg + j: 1.0}, 0j) for j in range(width)]
         out = {}
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
-                sm = self.antipode(self._leg_monomial(key[leg], pk[leg]))
-                for skey, spoly in sm.terms.items():
-                    nk = key[:leg] + (skey,) + key[leg + 1:]
-                    lifted = spoly.embed(legs, leg) * c
-                    for i in range(legs):
+                image = hopf_map(self._leg_monomial(key[leg], pk[leg]))
+                for ikey, ipoly in image.terms.items():
+                    nk = key[:leg] + (ikey if width == 2 else (ikey,)) + key[leg + 1:]
+                    lifted = ipoly.substitute(slots, legs) * c
+                    for i in range(t.legs):
                         if i == leg:
                             continue
+                        pos = i if i < leg else i + width - 1
                         lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j},
-                                                  canonical=True).embed(legs, i)
+                                                  canonical=True).embed(legs, pos)
                     _acc(out, nk, lifted)
         return TensorElement(self, legs, out)
 
@@ -718,7 +687,7 @@ class HopfOscillator:
         rep.add(name, residual <= tol, residual,
                 None if residual <= tol else f"{value} != {reference}")
 
-    def check_axioms(self, tol=1e-12, monomial_guards=True):
+    def check_axioms(self, tol=1e-12):
         """Symbolic verification of the Hopf-algebra axioms.
 
         Covers coassociativity, both counit identities, both antipode
@@ -729,16 +698,16 @@ class HopfOscillator:
         that extension code on composite elements.
         """
         rep = CheckReport(params=self.params.to_dict())
-        probes = [("a", self.lowering()), ("adag", self.raising()), ("N", self.number_op())]
-        if monomial_guards:
-            probes += [
-                ("adag^2 e^{0.3N} a", self.monomial(2, 1, ExpPoly.exponential(0.3))),
-                ("adag N e^{-0.2N} a^2",
-                 self.monomial(1, 2, ExpPoly.variable() * ExpPoly.exponential(-0.2))),
-                ("N^2", self.monomial(0, 0, ExpPoly.variable()**2)),
-            ]
+        probes = [
+            ("a", self.lowering()), ("adag", self.raising()), ("N", self.number_op()),
+            ("adag^2 e^{0.3N} a", self.monomial(2, 1, ExpPoly.exponential(0.3))),
+            ("adag N e^{-0.2N} a^2",
+             self.monomial(1, 2, ExpPoly.variable() * ExpPoly.exponential(-0.2))),
+            ("N^2", self.monomial(0, 0, ExpPoly.variable()**2)),
+        ]
+        coproducts = {}
         for name, x in probes:
-            d = self.coproduct(x)
+            d = coproducts[name] = self.coproduct(x)
             self._report_element(rep, f"coassociativity[{name}]",
                                  self.coproduct_on_leg(d, 0) - self.coproduct_on_leg(d, 1),
                                  tol)
@@ -755,9 +724,7 @@ class HopfOscillator:
                                  - self.scalar(eps_x), tol)
 
         # compatibility with the defining relations
-        da = self.coproduct(self.lowering())
-        dad = self.coproduct(self.raising())
-        dn = self.coproduct(self.number_op())
+        da, dad, dn = coproducts["a"], coproducts["adag"], coproducts["N"]
         dg = self.coproduct(self.from_function(self.g))
         self._report_element(rep, "coproduct-commutator[a,adag]",
                              self.tensor_product(da, dad) - self.tensor_product(dad, da)
@@ -775,13 +742,12 @@ class HopfOscillator:
         self._report_scalar(rep, "counit-commutator[N,a]", 0j,
                             self.counit(self.lowering()), tol)
 
-        if monomial_guards:
-            x = self.monomial(1, 1, ExpPoly.exponential(0.25))
-            y = self.monomial(0, 2, ExpPoly.variable())
-            self._report_element(rep, "coproduct-homomorphism[guard]",
-                                 self.coproduct(x * y)
-                                 - self.tensor_product(self.coproduct(x), self.coproduct(y)),
-                                 tol)
+        x = self.monomial(1, 1, ExpPoly.exponential(0.25))
+        y = self.monomial(0, 2, ExpPoly.variable())
+        self._report_element(rep, "coproduct-homomorphism[guard]",
+                             self.coproduct(x * y)
+                             - self.tensor_product(self.coproduct(x), self.coproduct(y)),
+                             tol)
 
         f = self.structure_poly
         self._report_element(rep, "structure-difference-equation",

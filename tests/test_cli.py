@@ -291,3 +291,25 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
     assert proc.stderr == f"error: --{flag} must be finite, got {value}\n"
     assert "Traceback" not in proc.stderr and "** On entry to" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("tabulate", "--kappa1=50", "--kappa2=0.5", "--g0=50", "--k=1", "--n-max=1000"), {}),
+    (("verify-hopf", "--kappa1=-50", "--kappa2=-0", "--g0=710", "--k=1", "--max-order=2"),
+     {}),
+    (("verify-hopf", "--eps=2e-12", "--alpha=7.5", "--beta=0", "--k=1", "--max-order=0"),
+     {}),
+    (("verify-rmatrix", "--eps=1e-300", "--alpha=1e-300", "--beta=0.5", "--k=-100",
+      "--oh-singh", "--max-sector=1"), {}),
+    (("verify-rmatrix", "--kappa1=-0.7", "--kappa2=2e-12", "--gamma1=710", "--g0=1e-9",
+      "--k=12", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+])
+def test_extreme_packs_exit_two_without_traceback(argv, env):
+    # an antidifference that cannot close, a division by an underflowed zero:
+    # arithmetic failures of the pack itself are parameter errors
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    proc = subprocess.run([sys.executable, "-m", "qhopf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

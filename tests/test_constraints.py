@@ -280,6 +280,14 @@ def test_classify_family_dispatch():
     assert not v.hermitian
 
 
+def test_classify_family_non_real_normalization():
+    v = classify_family(build_params(0.5, 0.1, 0.0, 1 + 0.5j))
+    assert v.family == "non_hermitian" and v.notes.startswith("G'(0) is not real")
+    for p in (build_params(0.3, 0.3, 0.7, 1 + 0.5j), build_params(0.5, 0.1, 0.7, 1 + 0.5j)):
+        v = classify_family(p)
+        assert v.family == "non_hermitian" and v.notes.startswith("G(0) is not real")
+
+
 def test_hermitian_families_have_real_g_values():
     for p in [proposition1_params(0.6, 0.8, 0, 1.0),
               proposition1_params(0.4, 1.2, 1, 2.0, kappa_sum=0.3),

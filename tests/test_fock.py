@@ -27,6 +27,18 @@ def test_vacuum_annihilation(generic_params):
     assert np.allclose(a[:, 0], 0)
 
 
+@pytest.mark.parametrize("fixture", ["prop1_params", "generic_complex_params"])
+def test_window_matrices_are_the_ladder_matrices(fixture, request):
+    w = FockWindow(request.getfixturevalue(fixture), 9)
+    a, ad, n = w.matrices()
+    lower = np.zeros((9, 9), dtype=complex)
+    for lvl in range(1, 9):
+        lower[lvl - 1, lvl] = w.sqrt_f[lvl]
+    assert np.array_equal(a, lower)
+    assert np.array_equal(ad, lower.T)
+    assert np.array_equal(n, np.diag(np.arange(9.0)).astype(complex))
+
+
 def test_number_conservation_identities(prop1_params):
     w = FockWindow(prop1_params, 12)
     a, ad, n = w.matrices()

@@ -90,6 +90,12 @@ def test_structure_function_values(prop1_params):
         assert f(n) == pytest.approx(oracle[n])
 
 
+def test_structure_function_is_exact_on_the_undeformed_line():
+    # G(N) = N: back-substitution gives F = N(N-1)/2 with no roundoff
+    f = structure_function(build_params(0.4, 0.4, 0, 1))
+    assert [f(n) for n in range(11)] == [n * (n - 1) / 2 for n in range(11)]
+
+
 @pytest.mark.parametrize("fixture", ["prop1_params", "generic_params",
                                      "generic_complex_params", "degenerate_params",
                                      "gamma_zero_params"])
