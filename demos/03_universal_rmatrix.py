@@ -27,7 +27,7 @@ print("\nquasitriangularity:", report.overall,
       f"(max residual {report.max_residual():.2e})")
 
 # %% The Yang-Baxter equation follows; verified directly on 3-leg sectors.
-report = check_yang_baxter(p, 6)
+report = check_yang_baxter(build_rmatrix(p, 6), 6)
 print("Yang-Baxter       :", report.overall,
       f"(max residual {report.max_residual():.2e})")
 

@@ -27,8 +27,7 @@ from .constraints import (HermiticityInput, OhSinghParams, classify_family,
                           reality_defect, verify_ci_conditions, verify_g_recursion)
 from .fock import (FockWindow, NonUnitarizableWindowError, SectorOperator,
                    build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
-                   check_yang_baxter, check_yang_baxter_oh_singh,
-                   compare_sector_operators, interior_residual,
+                   check_yang_baxter, compare_sector_operators, interior_residual,
                    represent_tensor, sector_dim, sector_states)
 from .report import CheckReport, CheckResult, TOOL_VERSION
 
@@ -41,7 +40,7 @@ __all__ = [
     "NonUnitarizableWindowError", "OhSinghParams", "SectorOperator",
     "TensorElement", "antidifference", "antipode_weights", "build_params",
     "build_rmatrix", "build_rmatrix_oh_singh", "check_quasitriangularity",
-    "check_yang_baxter", "check_yang_baxter_oh_singh", "classify_family",
+    "check_yang_baxter", "classify_family",
     "classify_hermiticity", "compare_sector_operators", "coproduct_weights",
     "g_function", "interior_residual",
     "oh_singh_g_poly", "param_map_inverse", "param_map_oh_singh",

@@ -35,8 +35,7 @@ from .constraints import (HermiticityInput, OhSinghParams, classify_family,
                           pointwise_reality, verify_ci_conditions, verify_g_recursion)
 from .expalg import EvaluationOverflow
 from .fock import (build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
-                   check_yang_baxter, check_yang_baxter_oh_singh,
-                   compare_sector_operators)
+                   check_yang_baxter, compare_sector_operators)
 from .hopf import (HopfOscillator, build_params, coproduct_weights, g_function,
                    structure_function)
 from .report import CheckReport
@@ -185,10 +184,9 @@ def _resolve_oscillator(vals):
 def _resolve_params(vals):
     style = _detect_style(vals)
     if style == "ohsingh":
-        o = _resolve_ohsingh(vals)
-        return param_map_oh_singh(o), o
+        return param_map_oh_singh(_resolve_ohsingh(vals))
     if style == "oscillator":
-        return _resolve_oscillator(vals), None
+        return _resolve_oscillator(vals)
     raise UsageError("this subcommand needs oscillator or q-oscillator parameters")
 
 
@@ -223,7 +221,7 @@ def _cmd_classify(vals):
         rep.add("classification-pointwise-agreement", agree, worst,
                 f"max |Im G(n)| / max |G(n)| at n={witness}")
         return rep
-    params, _ = _resolve_params(vals)
+    params = _resolve_params(vals)
     verdict = classify_family(params)
     rep = CheckReport(params=params.to_dict())
     rep.params["verdict"] = verdict.to_dict()
@@ -236,7 +234,7 @@ def _cmd_verify_hopf(vals):
     max_order = _int_flag(vals, "max_order", 6)
     if max_order > 12:
         raise UsageError("--max-order must lie in 0..12")
-    params, _ = _resolve_params(vals)
+    params = _resolve_params(vals)
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
     rep.extend(algebra.check_axioms(), prefix="hopf/")
@@ -255,27 +253,27 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
         params = param_map_oh_singh(o)
         rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
                       "max_sector": m_max}
-        r_os = build_rmatrix_oh_singh(o, m_max)
-        r_gen = build_rmatrix(params, m_max)
-        worst, per = compare_sector_operators(r_os, r_gen)
-        for m, r in per.items():
-            rep.add(f"realform-equivalence[M={m}]", r <= 1e-10, r)
-        rep.extend(check_quasitriangularity(params, m_max), prefix="qt/")
-        rep.extend(check_yang_baxter_oh_singh(o, m_max), prefix="ybe/")
-        dump_op = r_os
+        r = build_rmatrix_oh_singh(o, m_max)
+        _, per = compare_sector_operators(r, build_rmatrix(params, m_max))
+        for m, res in per.items():
+            rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
+        qt = check_quasitriangularity(params, m_max)
     else:
-        params, _ = _resolve_params(vals)
+        params = _resolve_params(vals)
         if params.branch != "generic":
             raise UsageError(f"the R-matrix needs the generic branch, got {params.branch}")
         rep.params = params.to_dict()
         rep.params["max_sector"] = m_max
-        rep.extend(check_quasitriangularity(params, m_max), prefix="qt/")
-        rep.extend(check_yang_baxter(params, m_max), prefix="ybe/")
-        dump_op = build_rmatrix(params, m_max)
+        # qt first: on an extreme pack its algebra setup fails before the
+        # R build does, and that error is the one reported
+        qt = check_quasitriangularity(params, m_max)
+        r = build_rmatrix(params, m_max)
+    rep.extend(qt, prefix="qt/")
+    rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
     if requested > cap:
         rep.params["max_sector_capped_at"] = cap
     if dump_path:
-        payload = dump_op.to_payload(rep.params)
+        payload = r.to_payload(rep.params)
         with open(dump_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
     return rep
@@ -283,7 +281,7 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
 
 def _cmd_tabulate(vals, out):
     n_max = _int_flag(vals, "n_max", 10)
-    params, _ = _resolve_params(vals)
+    params = _resolve_params(vals)
     g = g_function(params)
     f = structure_function(params)
     w = coproduct_weights(params)

@@ -667,14 +667,6 @@ class HopfOscillator:
                 total = total + self.product(m1, m2)
         return total
 
-    def twist(self, t):
-        """Swap the two legs: x (x) y -> y (x) x."""
-        if t.legs != 2:
-            raise ValueError("twist expects a 2-leg tensor element")
-        swap = [({1: 1.0}, 0j), ({0: 1.0}, 0j)]
-        return TensorElement(self, 2, {
-            (key[1], key[0]): poly.substitute(swap, 2) for key, poly in t.terms.items()})
-
     # ------------------------------------------------------------------ checks
     def _report_element(self, rep, name, diff, tol):
         residual = diff.residual()

@@ -10,8 +10,7 @@ import pytest
 
 from qhopf import (FockWindow, HermiticityInput, HopfOscillator, OhSinghParams,
                    build_params, build_rmatrix, build_rmatrix_oh_singh,
-                   check_quasitriangularity, check_yang_baxter,
-                   check_yang_baxter_oh_singh, classify_hermiticity,
+                   check_quasitriangularity, check_yang_baxter, classify_hermiticity,
                    compare_sector_operators, g_function,
                    interior_residual, param_map_oh_singh, pointwise_reality,
                    proposition1_params, structure_function_values,
@@ -155,7 +154,7 @@ def test_criterion_4_quasitriangularity():
         rep = check_quasitriangularity(p, 6, tol=1e-9)
         assert rep.passed, [c.name for c in rep.failures()]
         worst_qt = max(worst_qt, rep.max_residual())
-        rep = check_yang_baxter(p, 6, tol=1e-8)
+        rep = check_yang_baxter(build_rmatrix(p, 6), 6, tol=1e-8)
         assert rep.passed
         worst_ybe = max(worst_ybe, rep.max_residual())
     for o in oh_singh:
@@ -164,7 +163,7 @@ def test_criterion_4_quasitriangularity():
         rep = check_quasitriangularity(p, 6, tol=1e-9)
         assert rep.passed, [c.name for c in rep.failures()]
         worst_qt = max(worst_qt, rep.max_residual())
-        rep = check_yang_baxter_oh_singh(o, 6, tol=1e-8)
+        rep = check_yang_baxter(build_rmatrix_oh_singh(o, 6), 6, tol=1e-8)
         assert rep.passed
         worst_ybe = max(worst_ybe, rep.max_residual())
 

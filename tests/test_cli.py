@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from qhopf import (OhSinghParams, SectorOperator, build_params, build_rmatrix,
+                   build_rmatrix_oh_singh, check_yang_baxter)
 from qhopf.cli import main
 
 
@@ -88,6 +91,27 @@ def test_verify_rmatrix_oh_singh_and_dump(capsys, tmp_path):
     assert [s["M"] for s in payload["sectors"]] == [0, 1, 2, 3]
     assert payload["sectors"][1]["rows"] == 2
     assert len(payload["sectors"][1]["entries"]) == 4
+
+
+@pytest.mark.parametrize("form", ["general", "oh-singh"])
+def test_dump_is_the_judged_rmatrix(capsys, tmp_path, form):
+    m = 6
+    if form == "general":
+        argv = ["--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"]
+        r = build_rmatrix(build_params(0.5, 0.1, 0.7, 1.0), m)
+    else:
+        argv = ["--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0", "--oh-singh"]
+        r = build_rmatrix_oh_singh(OhSinghParams(0.5, 1.2, 0.3, 0), m)
+    dump = tmp_path / "blocks.json"
+    code, out, _ = run(capsys, "verify-rmatrix", *argv, "--max-sector", str(m),
+                       "--dump-blocks", str(dump), "--format", "json")
+    assert code == 0
+    dumped = SectorOperator.from_payload(json.loads(dump.read_text()))
+    assert dumped.sectors() == r.sectors()
+    assert all(np.array_equal(dumped.blocks[k], r.blocks[k]) for k in r.sectors())
+    judged = [c["residual"] for c in json.loads(out)["checks"]
+              if c["name"].startswith("ybe/")]
+    assert [c.residual for c in check_yang_baxter(dumped, m).checks] == judged
 
 
 def test_tabulate_csv(capsys):

@@ -7,7 +7,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from qhopf import HopfOscillator, build_params, coproduct_weights, g_function  # noqa: E402
+from qhopf import (FockWindow, HopfOscillator, build_params, coproduct_weights,  # noqa: E402
+                   g_function, interior_residual)
 from qhopf.expalg import ExpPoly  # noqa: E402
 
 
@@ -52,6 +53,19 @@ def test_product_is_associative(data):
     # exact exponents: both association orders give the same terms
     assert ({rs: set(f.terms) for rs, f in lhs.terms.items()}
             == {rs: set(f.terms) for rs, f in rhs.terms.items()})
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_symbolic_product_matches_dense_product(data):
+    # the dense product loses only the levels y raises past the window top,
+    # so the margin is the largest raise of y
+    algebra = HopfOscillator(data.draw(generic_complex_packs()))
+    x, y = (data.draw(elements(algebra)) for _ in range(2))
+    w = FockWindow(algebra.params, 14)
+    r = interior_residual(w.represent(x * y), w.represent(x) @ w.represent(y),
+                          y.max_raise())
+    assert r < 1e-10
 
 
 @settings(derandomize=True, database=None, max_examples=4, deadline=None)

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from qhopf import (OhSinghParams, build_params, build_rmatrix, build_rmatrix_oh_singh,
-                   check_quasitriangularity, check_yang_baxter,
-                   check_yang_baxter_oh_singh, compare_sector_operators,
+                   check_quasitriangularity, check_yang_baxter, compare_sector_operators,
                    param_map_oh_singh, proposition1_params, represent_tensor,
                    sector_states)
 from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _embed_pair,
                         _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude,
                         _series_tensor_terms)
-from qhopf.hopf import HopfOscillator
+from qhopf.hopf import HopfOscillator, TensorElement
 
 
 # ------------------------------------------------------------- block structure
@@ -130,7 +129,7 @@ def test_perturbed_lambda_negative_control(generic_params):
 
 
 def test_intertwiner_on_number_is_commutant(generic_params):
-    # twist(coproduct(N)) = coproduct(N) is scalar per sector, so the
+    # coproduct^op(N) = coproduct(N) is scalar per sector, so the
     # intertwiner relation for N reduces to [R, coproduct(N)] = 0 exactly
     rep = check_quasitriangularity(generic_params, 4)
     for c in rep.checks:
@@ -140,7 +139,7 @@ def test_intertwiner_on_number_is_commutant(generic_params):
 
 # ------------------------------------------------------------------ Yang-Baxter
 def test_yang_baxter_generic(generic_params):
-    rep = check_yang_baxter(generic_params, 6)
+    rep = check_yang_baxter(build_rmatrix(generic_params, 6), 6)
     assert rep.passed
     assert rep.max_residual() < 1e-8
 
@@ -153,7 +152,7 @@ def test_yang_baxter_vacuum_scalar(generic_params):
 
 
 def test_yang_baxter_oh_singh_build():
-    rep = check_yang_baxter_oh_singh(OhSinghParams(0.5, 1.2, 0.3, 0), 6)
+    rep = check_yang_baxter(build_rmatrix_oh_singh(OhSinghParams(0.5, 1.2, 0.3, 0), 6), 6)
     assert rep.passed
     assert rep.max_residual() < 1e-8
 
@@ -208,7 +207,36 @@ def test_quasitriangularity_and_yang_baxter_at_high_sector(pack, m_max):
     assert {c.name for c in rep.checks} >= {f"intertwiner-a[M={m_max}]",
                                             f"intertwiner-adag[M={m_max - 1}]",
                                             f"intertwiner-N[M={m_max}]"}
-    assert check_yang_baxter(p, m_max).passed
+    assert check_yang_baxter(build_rmatrix(p, m_max), m_max).passed
+
+
+def reference_twist(t):
+    """Swap the two legs symbolically: x (x) y -> y (x) x."""
+    swap = [({1: 1.0}, 0j), ({0: 1.0}, 0j)]
+    return TensorElement(t.algebra, 2, {(key[1], key[0]): poly.substitute(swap, 2)
+                                        for key, poly in t.terms.items()})
+
+
+@pytest.mark.parametrize("pack", ["generic", "complex", "q-oscillator"])
+def test_intertwiner_basis_flip_equals_symbolic_twist(pack, generic_params):
+    # coproduct^op(h) as a reversed sector basis gives, bit for bit, the
+    # residuals of the represented symbolic twist
+    m_max = 12
+    p = {"generic": generic_params, "complex": HIGH_M_PACKS[0],
+         "q-oscillator": param_map_oh_singh(OhSinghParams(0.5, 1.2, 0.3, 0))}[pack]
+    got = {c.name: c.residual for c in check_quasitriangularity(p, m_max).checks
+           if c.name.startswith("intertwiner-")}
+    alg = HopfOscillator(p)
+    r2 = build_rmatrix(p, m_max)
+    want = {}
+    for name, h, deg in [("a", alg.lowering(), -1), ("adag", alg.raising(), +1),
+                         ("N", alg.number_op(), 0)]:
+        dh = represent_tensor(alg.coproduct(h), p, m_max)
+        th = represent_tensor(reference_twist(alg.coproduct(h)), p, m_max)
+        for m in range(max(0, -deg), min(m_max, m_max - deg) + 1):
+            want[f"intertwiner-{name}[M={m}]"] = _rel_residual(
+                r2.blocks[m + deg] @ dh.blocks[m], th.blocks[m] @ r2.blocks[m])
+    assert got == want
 
 
 def test_quasitriangularity_needs_no_dense_inverse(monkeypatch, generic_params):
