@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, capped_exp, exponent
+from .expalg import EXP_ARG_CAP, ExpPoly, capped_exp, exponent
 from .hopf import HopfOscillator, structure_function_values
 from .report import CheckReport, jsonable
 
@@ -235,7 +235,7 @@ def represent_tensor(t, params, m_max):
     legs = t.legs
 
     # exp(mu*V) and V**k on every level 0..m_max, once per call; an exponent
-    # beyond EXP_ARG_CAP is left as None and raised on where it is met
+    # beyond EXP_ARG_CAP is left as None, and the first one evaluated raises
     levels = [complex(n) for n in range(m_max + 1)]
     exps, powers = {}, {}
     # per term: the a-powers (lows) and adag-powers (highs) of its legs, and
@@ -269,36 +269,28 @@ def represent_tensor(t, params, m_max):
         source = {st: j for j, st in enumerate(states_at[m])}
         target = {st: i for i, st in enumerate(sector_states(m + degree, legs))}
         block = np.zeros((len(target), len(source)), dtype=complex)
-        overflow = None
-        for i, (lows, highs, factors) in enumerate(terms):
+        for lows, highs, factors in terms:
             rest = m - sum(lows)
             if rest < 0:
                 continue
-            try:
-                for mids in states_at[rest]:
-                    amp = 0j
-                    for c, per_leg in factors:
-                        val = c
-                        for (mu, exp_row, pow_row), v in zip(per_leg, mids):
-                            e = exp_row[v]
-                            if e is None:
-                                capped_exp(mu * levels[v])  # raises EvaluationOverflow
-                            val *= e
-                            if pow_row is not None:
-                                val *= pow_row[v]
-                        amp += val
-                    if amp == 0:
-                        continue
-                    st = tuple(map(operator.add, lows, mids))
-                    for n, s, mid, r in zip(st, lows, mids, highs):
-                        amp *= lower_amp[n][s] * raise_amp[mid][r]
-                    block[target[tuple(map(operator.add, mids, highs))], source[st]] += amp
-            except EvaluationOverflow as exc:
-                # report the overflow a state-by-state sweep meets first
-                first = (source[tuple(map(operator.add, lows, mids))], i, exc)
-                overflow = first if overflow is None else min(overflow, first)
-        if overflow is not None:
-            raise overflow[2]
+            for mids in states_at[rest]:
+                amp = 0j
+                for c, per_leg in factors:
+                    val = c
+                    for (mu, exp_row, pow_row), v in zip(per_leg, mids):
+                        e = exp_row[v]
+                        if e is None:
+                            capped_exp(mu * levels[v])  # raises EvaluationOverflow
+                        val *= e
+                        if pow_row is not None:
+                            val *= pow_row[v]
+                    amp += val
+                if amp == 0:
+                    continue
+                st = tuple(map(operator.add, lows, mids))
+                for n, s, mid, r in zip(st, lows, mids, highs):
+                    amp *= lower_amp[n][s] * raise_amp[mid][r]
+                block[target[tuple(map(operator.add, mids, highs))], source[st]] += amp
         blocks[m] = block
     return SectorOperator(legs, degree, blocks)
 

@@ -107,7 +107,7 @@ class HopfParams:
 
 
 def build_params(kappa1, kappa2, gamma, g0=1.0):
-    """Validate a parameter pack, detect its branch and derive scalars.
+    """Validate a finite parameter pack, detect its branch and derive scalars.
 
     Near-degenerate inputs are snapped onto the exact branch value
     (kappa2 := kappa1, or gamma := 0) so downstream identities cancel
@@ -117,6 +117,9 @@ def build_params(kappa1, kappa2, gamma, g0=1.0):
     kappa2 = complex(kappa2)
     gamma = complex(gamma)
     g0 = complex(g0)
+    for name, z in (("kappa1", kappa1), ("kappa2", kappa2), ("gamma", gamma), ("G(0)", g0)):
+        if not cmath.isfinite(z):
+            raise ValueError(f"{name} must be finite, got {z}")
     if abs(g0) == 0:
         raise ValueError("G(0) must not vanish")
     if abs(gamma) < BRANCH_TOL:
@@ -135,6 +138,8 @@ def build_params(kappa1, kappa2, gamma, g0=1.0):
             raise ValueError(
                 f"sinh(kappa*gamma) = {s:.3e} vanishes; lambda^2 is undefined")
         lambda_sq = -g0 * cmath.sinh(kappa / 2) / s
+        if not cmath.isfinite(lambda_sq):
+            raise OverflowError(f"lambda^2 = {lambda_sq} exceeds double precision")
     return HopfParams(kappa1, kappa2, gamma, g0, branch, kappa,
                       cmath.exp(kappa / 2), cmath.exp((kappa1 + kappa2) / 2), lambda_sq)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
@@ -42,8 +43,12 @@ class CheckReport:
     tool_version: str = TOOL_VERSION
 
     def add(self, name, ok, residual=0.0, witness=None):
-        self.checks.append(CheckResult(name, "pass" if ok else "fail",
-                                       float(residual), witness))
+        """Record a judged check.  A residual that is not finite is a value
+        the check could not compute, not a verdict: FloatingPointError."""
+        residual = float(residual)
+        if not math.isfinite(residual):
+            raise FloatingPointError(f"check {name} has residual {residual}")
+        self.checks.append(CheckResult(name, "pass" if ok else "fail", residual, witness))
 
     def skip(self, name, witness=None):
         self.checks.append(CheckResult(name, "skipped", 0.0, witness))

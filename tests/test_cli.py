@@ -128,13 +128,15 @@ def test_tabulate_csv(capsys):
     assert float(row1[3]) == pytest.approx(0.0)  # F(0) = 0
 
 
-def test_tabulate_overflow_exits_one(capsys):
-    code, out, _ = run(capsys, "tabulate", "--kappa1", "8", "--kappa2", "0.1",
-                       "--gamma1", "0.7", "--n-max", "40", "--format", "json")
-    assert code == 1
-    report = json.loads(out)
-    assert report["overall"] == "fail"
-    assert any("overflow" in (c.get("witness") or "") for c in report["checks"])
+def test_tabulate_overflow_exits_two(capsys):
+    # G(40) needs exp(kappa*n) past the exponent cap: a value the program
+    # cannot compute is refused, not tabulated or reported as a FAIL row
+    code, out, err = run(capsys, "tabulate", "--kappa1", "8", "--kappa2", "0.1",
+                         "--gamma1", "0.7", "--n-max", "40", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parameters out of floating-point range (")
+    assert "exponent cap" in err and err.count("\n") == 1
 
 
 def test_rmatrix_off_generic_branch_is_parameter_error(capsys):
@@ -187,6 +189,24 @@ def test_cli_flags_override_config(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["params"]["eta"] == 0.3
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("k", 1.5, ("verify-hopf", "--kappa1", "0.3", "--kappa2", "-0.3", "--gamma1", "0.8")),
+    ("max_sector", 2.9, ("verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1",
+                         "--gamma1", "0.7")),
+])
+def test_config_integers_are_not_truncated(capsys, tmp_path, key, value, argv):
+    # the flags refuse 1.5 through argparse; the config must not run it as 1
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r} must be an integer, got {value!r}\n"
+    # an integral value is the integer itself
+    cfg.write_text(json.dumps({key: 2.0}))
+    assert run(capsys, *argv, "--config", str(cfg))[0] == 0
 
 
 def test_default_sector_cap_is_eight(monkeypatch):
@@ -275,11 +295,13 @@ def test_negative_integer_flags_exit_two(capsys, argv):
 
 
 def test_negative_env_sector_cap_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("QHOPF_MAX_SECTOR", "-1")
-    code, _, err = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
-                       "0.1", "--gamma1", "0.7")
-    assert code == 2
-    assert "QHOPF_MAX_SECTOR" in err
+    for value in ("-1", "abc"):
+        monkeypatch.setenv("QHOPF_MAX_SECTOR", value)
+        code, out, err = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
+                             "0.1", "--gamma1", "0.7")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: QHOPF_MAX_SECTOR must be a non-negative integer, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,13 +349,28 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
       "--oh-singh", "--max-sector=1"), {}),
     (("verify-rmatrix", "--kappa1=-0.7", "--kappa2=2e-12", "--gamma1=710", "--g0=1e-9",
       "--k=12", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+    # a pack whose gamma and G(0) are not finite, or whose kappa1 is not, or
+    # whose lambda^2 overflows (its JSON report would hold Infinity)
+    (("tabulate", "--eps=2e-12", "--alpha=8", "--beta=1e308", "--k=-1", "--n-max=30"), {}),
+    (("classify", "--eps=3", "--alpha=-1e308", "--beta=3", "--k=12"), {}),
+    (("verify-rmatrix", "--kappa1=3", "--kappa2=1e-9", "--g0=1e308", "--gamma1=0.5",
+      "--gamma2=1e-9", "--max-sector=0", "--format=json"), {}),
+    # values past the exponent cap, residuals that are not finite, and a
+    # pack whose algebra set-up and R build overflow in different places
+    (("verify-rmatrix", "--kappa1=8+1i", "--kappa2=0", "--g0=-0.7", "--gamma1=8",
+      "--gamma2=-8", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+    (("verify-rmatrix", "--kappa1=0", "--kappa2=0.5", "--g0=0.5+0.2i", "--gamma1=-8",
+      "--gamma2=-1e308", "--max-sector=2"), {"QHOPF_MAX_SECTOR": "4"}),
+    (("verify-rmatrix", "--kappa1=710", "--kappa2=-0.7", "--g0=710i", "--gamma1=0",
+      "--k=-1", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
-    # an antidifference that cannot close, a division by an underflowed zero:
-    # arithmetic failures of the pack itself are parameter errors
+    # a pack that is not finite, an antidifference that cannot close, a
+    # division by an underflowed zero, an exponent past the cap, a residual
+    # that is not finite: values the program cannot compute are refused
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
     proc = subprocess.run([sys.executable, "-m", "qhopf.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,8 +1,11 @@
 """Property test: on extreme but well-formed arguments the CLI returns 0, 1
-or 2 and raises nothing."""
+or 2 and raises nothing, and a JSON report is strict JSON with finite
+residuals."""
 
 import contextlib
 import io
+import json
+import math
 import os
 from unittest import mock
 
@@ -50,7 +53,13 @@ def argv_lists(draw):
         argv.append(f"--max-sector={draw(st.integers(0, 4))}")
     elif command == "tabulate":
         argv.append(f"--n-max={draw(st.integers(0, 50))}")
+    if draw(st.booleans()):
+        argv.append("--format=json")
     return argv
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -63,3 +72,8 @@ def test_cli_exits_0_1_or_2_and_raises_nothing(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") or "usage:" in err.getvalue()
+    elif "--format=json" in argv:
+        # tabulate prints its CSV rows, which hold no "{", before the report
+        text = out.getvalue()
+        report = json.loads(text[text.index("{"):], parse_constant=_refuse_constant)
+        assert all(math.isfinite(c["residual"]) for c in report["checks"])

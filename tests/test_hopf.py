@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from itertools import product as cartesian
 
 import numpy as np
@@ -55,6 +56,23 @@ def test_build_params_rejects_singular_sinh():
 
 
 # ------------------------------------------------------------------ g_function
+@pytest.mark.parametrize("pack, name", [
+    ((-math.inf, 0.1, 0.7, 1.0), "kappa1"),
+    ((0.5, complex(0, math.nan), 0.7, 1.0), "kappa2"),
+    ((0.5, 0.1, complex(math.inf, -9.8e10), 1.0), "gamma"),
+    ((0.5, 0.1, 0.7, math.inf), "G(0)"),
+])
+def test_build_params_rejects_non_finite_pack(pack, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite"):
+        build_params(*pack)
+
+
+def test_build_params_refuses_lambda_sq_past_double_precision():
+    # -G(0) sinh(kappa/2) overflows before the division by sinh(kappa*gamma)
+    with pytest.raises(OverflowError, match="lambda"):
+        build_params(3.0, 1e-9, complex(0.5, 1e-9), 1e308)
+
+
 def test_g_hermitian_family_value(prop1_params):
     g = g_function(prop1_params)
     assert g(1) == pytest.approx(math.cosh(1.08) / math.cosh(0.48))

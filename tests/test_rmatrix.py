@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qhopf import (OhSinghParams, build_params, build_rmatrix, build_rmatrix_oh_singh,
-                   check_quasitriangularity, check_yang_baxter, compare_sector_operators,
-                   param_map_oh_singh, proposition1_params, represent_tensor,
-                   sector_states)
+from qhopf import (CheckReport, OhSinghParams, build_params, build_rmatrix,
+                   build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
+                   compare_sector_operators, param_map_oh_singh, proposition1_params,
+                   represent_tensor, sector_states)
 from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _embed_pair,
                         _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude,
@@ -308,6 +308,24 @@ def test_overflowing_blocks_give_strict_json(capsys):
     report = json.loads(captured.out, parse_constant=_refuse_constant)
     assert code == 0 and report["overall"] == "pass"
     assert max(c["residual"] for c in report["checks"]) < 1e-12
+
+
+def test_non_finite_residual_is_refused_not_reported():
+    # G(0) = -1e308 makes the series amplitudes overflow to inf in the
+    # library, with numpy warnings silenced: the check raises instead of
+    # reporting an inf residual
+    xi = 0.5 - 2e-12
+    p = build_params(0.5, 2e-12, complex(2e-12, -math.pi / (2 * xi)), -1e308)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="residual"):
+        check_quasitriangularity(p, 2)
+
+
+def test_report_refuses_a_non_finite_residual():
+    rep = CheckReport()
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FloatingPointError):
+            rep.add("probe", False, bad)
+    assert rep.checks == []
 
 
 # ------------------------------------------------------------ sector cap edge
