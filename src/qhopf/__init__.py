@@ -14,37 +14,46 @@ The layers, bottom up:
   the universal R-matrix (both parameterizations), quasitriangularity and
   Yang-Baxter checks.
 * :mod:`qhopf.cli`: the ``qhopf`` command.
+
+Only :mod:`qhopf.fock` computes with numpy, so its names are loaded on first
+use and ``import qhopf`` does not import numpy.
 """
 
-from .expalg import EvaluationOverflow, ExpPoly, antidifference
-from .hopf import (AlgebraElement, AntipodeWeights, CoproductWeights, HopfOscillator,
-                   HopfParams, TensorElement, antipode_weights, build_params,
-                   coproduct_weights, g_function, proposition1_params,
+from .hopf import (CoproductWeights, HopfOscillator, TensorElement, antipode_weights,
+                   build_params, coproduct_weights, g_function, proposition1_params,
                    structure_function, structure_function_values)
 from .constraints import (HermiticityInput, OhSinghParams, classify_family,
                           classify_hermiticity, oh_singh_g_poly, param_map_inverse,
                           param_map_oh_singh, pointwise_reality, q_bracket,
                           reality_defect, verify_ci_conditions, verify_g_recursion)
-from .fock import (FockWindow, NonUnitarizableWindowError, SectorOperator,
-                   build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
-                   check_yang_baxter, compare_sector_operators, interior_residual,
-                   represent_tensor, sector_dim, sector_states)
-from .report import CheckReport, CheckResult, TOOL_VERSION
+from .report import CheckReport, TOOL_VERSION
 
 __version__ = TOOL_VERSION
 
+_FOCK_NAMES = (
+    "FockWindow", "NonUnitarizableWindowError", "SectorOperator", "build_rmatrix",
+    "build_rmatrix_oh_singh", "check_quasitriangularity", "check_yang_baxter",
+    "compare_sector_operators", "interior_residual", "represent_tensor", "sector_dim",
+    "sector_states",
+)
+
 __all__ = [
-    "AlgebraElement", "AntipodeWeights", "CheckReport", "CheckResult",
-    "CoproductWeights", "EvaluationOverflow", "ExpPoly",
-    "FockWindow", "HermiticityInput", "HopfOscillator", "HopfParams",
-    "NonUnitarizableWindowError", "OhSinghParams", "SectorOperator",
-    "TensorElement", "antidifference", "antipode_weights", "build_params",
-    "build_rmatrix", "build_rmatrix_oh_singh", "check_quasitriangularity",
-    "check_yang_baxter", "classify_family",
-    "classify_hermiticity", "compare_sector_operators", "coproduct_weights",
-    "g_function", "interior_residual",
-    "oh_singh_g_poly", "param_map_inverse", "param_map_oh_singh",
-    "pointwise_reality", "proposition1_params", "q_bracket", "reality_defect",
-    "represent_tensor", "sector_dim", "sector_states", "structure_function",
+    "CheckReport", "CoproductWeights", "HermiticityInput", "HopfOscillator",
+    "OhSinghParams", "TensorElement", "antipode_weights", "build_params",
+    "classify_family", "classify_hermiticity", "coproduct_weights", "g_function",
+    "oh_singh_g_poly", "param_map_inverse", "param_map_oh_singh", "pointwise_reality",
+    "proposition1_params", "q_bracket", "reality_defect", "structure_function",
     "structure_function_values", "verify_ci_conditions", "verify_g_recursion",
+    *_FOCK_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FOCK_NAMES))

@@ -28,15 +28,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .constraints import (HermiticityInput, OhSinghParams, classify_family,
                           classify_hermiticity, param_map_inverse, param_map_oh_singh,
                           pointwise_reality, verify_ci_conditions, verify_g_recursion)
-from .fock import (build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
-                   check_yang_baxter, compare_sector_operators)
 from .hopf import (HopfOscillator, build_params, coproduct_weights, g_function,
-                   structure_function)
+                   structure_function, structure_function_values)
 from .report import CheckReport
 
 DEFAULT_SECTOR_CAP = 8
@@ -252,54 +248,75 @@ def _cmd_verify_hopf(vals):
 def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     requested = _int_flag(vals, "max_sector", 6)
     m_max, cap = _sector_limit(requested)
+    # numpy and the R-matrix layer load here, so the other subcommands (and
+    # a run refused above) start without them
+    import numpy as np
+
+    from .fock import (build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
+                       check_yang_baxter, compare_sector_operators)
+
     rep = CheckReport()
-    if oh_singh_mode:
-        o = _resolve_ohsingh(vals)
-        params = param_map_oh_singh(o)
-        rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
-                      "max_sector": m_max}
-        r = build_rmatrix_oh_singh(o, m_max)
-        _, per = compare_sector_operators(r, build_rmatrix(params, m_max))
-        for m, res in per.items():
-            rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
-    else:
-        params = _resolve_params(vals)
-        if params.branch != "generic":
-            raise UsageError(f"the R-matrix needs the generic branch, got {params.branch}")
-        rep.params = params.to_dict()
-        rep.params["max_sector"] = m_max
-        r = build_rmatrix(params, m_max)
-    rep.extend(check_quasitriangularity(params, m_max), prefix="qt/")
-    rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
-    if requested > cap:
-        rep.params["max_sector_capped_at"] = cap
-    if dump_path:
-        payload = r.to_payload(rep.params)
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+    # a numpy overflow, division by zero or invalid operation raises
+    # FloatingPointError, an ArithmeticError, instead of warning
+    with np.errstate(all="raise", under="ignore"):
+        if oh_singh_mode:
+            o = _resolve_ohsingh(vals)
+            params = param_map_oh_singh(o)
+            rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
+                          "max_sector": m_max}
+            r = build_rmatrix_oh_singh(o, m_max)
+            _, per = compare_sector_operators(r, build_rmatrix(params, m_max))
+            for m, res in per.items():
+                rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
+        else:
+            params = _resolve_params(vals)
+            if params.branch != "generic":
+                raise UsageError(
+                    f"the R-matrix needs the generic branch, got {params.branch}")
+            rep.params = params.to_dict()
+            rep.params["max_sector"] = m_max
+            r = build_rmatrix(params, m_max)
+        rep.extend(check_quasitriangularity(params, m_max), prefix="qt/")
+        rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
+        if requested > cap:
+            rep.params["max_sector_capped_at"] = cap
+        if dump_path:
+            payload = r.to_payload(rep.params)
+            with open(dump_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=1)
     return rep
 
 
 def _cmd_tabulate(vals, out):
     n_max = _int_flag(vals, "n_max", 10)
     params = _resolve_params(vals)
-    g = g_function(params)
-    f = structure_function(params)
-    w = coproduct_weights(params)
-    cols = [("g", g), ("f", f)] + w.named()
+    cols = ([("g", g_function(params)), ("f", structure_function(params))]
+            + coproduct_weights(params).named())
+    table = [[fn(n) for _, fn in cols] for n in range(n_max + 1)]
+    f_sums = structure_function_values(params, n_max)
+    # plain complex arithmetic overflows to inf or nan without raising
+    if not all(cmath.isfinite(z) for row in (f_sums, *table) for z in row):
+        raise FloatingPointError("a tabulated value is not finite")
+    # the closed-form F against the telescoped partial sums of G
+    worst, worst_n = 0.0, 0
+    for n, (row, f_sum) in enumerate(zip(table, f_sums)):
+        r = abs(row[1] - f_sum) / max(abs(f_sum), 1.0)
+        if r > worst:
+            worst, worst_n = r, n
     rep = CheckReport(params=params.to_dict())
+    ok = worst <= 1e-9
+    rep.add("tabulate", ok, worst,
+            f"{n_max + 1} rows" + ("" if ok else f", worst |F - sum G| at n={worst_n}"))
     header = ["n"]
     for name, _ in cols:
         header += [f"{name}_re", f"{name}_im"]
     lines = [",".join(header)]
-    for n in range(n_max + 1):
-        row = [str(n)]
-        for _, fn in cols:
-            z = fn(n)
-            row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        lines.append(",".join(row))
+    for n, row in enumerate(table):
+        cells = [str(n)]
+        for z in row:
+            cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+        lines.append(",".join(cells))
     print("\n".join(lines), file=out)
-    rep.add("tabulate", True, 0.0, f"{n_max + 1} rows")
     return rep
 
 
@@ -392,19 +409,16 @@ def main(argv=None):
         return exc.code if exc.code else 0
     try:
         vals = _Values(ns, _load_config(ns.config))
-        # a numpy overflow, division by zero or invalid operation raises
-        # FloatingPointError, an ArithmeticError, instead of warning
-        with np.errstate(all="raise", under="ignore"):
-            if ns.command == "classify":
-                rep = _cmd_classify(vals)
-            elif ns.command == "verify-hopf":
-                rep = _cmd_verify_hopf(vals)
-            elif ns.command == "verify-rmatrix":
-                rep = _cmd_verify_rmatrix(vals, ns.oh_singh, ns.dump_blocks)
-            elif ns.command == "tabulate":
-                rep = _cmd_tabulate(vals, sys.stdout)
-            else:
-                rep = _cmd_convert(vals)
+        if ns.command == "classify":
+            rep = _cmd_classify(vals)
+        elif ns.command == "verify-hopf":
+            rep = _cmd_verify_hopf(vals)
+        elif ns.command == "verify-rmatrix":
+            rep = _cmd_verify_rmatrix(vals, ns.oh_singh, ns.dump_blocks)
+        elif ns.command == "tabulate":
+            rep = _cmd_tabulate(vals, sys.stdout)
+        else:
+            rep = _cmd_convert(vals)
     except (UsageError, ValueError) as exc:
         # usage errors, and parameter-level failures surfaced by the library
         # (vanishing series normalization, out-of-image inversions, ...)

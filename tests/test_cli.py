@@ -139,6 +139,24 @@ def test_tabulate_overflow_exits_two(capsys):
     assert "exponent cap" in err and err.count("\n") == 1
 
 
+def test_tabulate_judges_closed_form_against_telescoped_sums(capsys):
+    # at kappa = 1e-8 the closed form cancels: it prints F = 2, 4, 10 where
+    # the partial sums of G give 1, 3.43, 7.29, so the table must not pass
+    code, out, _ = run(capsys, "tabulate", "--kappa1", "1e-8", "--kappa2", "0",
+                       "--gamma1", "0.7", "--n-max", "3", "--format", "json")
+    assert code == 1
+    check = json.loads(out[out.index("{"):])["checks"][0]
+    assert check["status"] == "fail" and check["residual"] > 0.5
+    assert check["witness"] == "4 rows, worst |F - sum G| at n=1"
+    code, out, _ = run(capsys, "tabulate", "--kappa1", "0.5", "--kappa2", "0",
+                       "--gamma1", "0.7", "--n-max", "20", "--format", "json")
+    assert code == 0
+    check = json.loads(out[out.index("{"):])["checks"][0]
+    assert check == {"name": "tabulate", "status": "pass",
+                     "residual": check["residual"], "witness": "21 rows"}
+    assert check["residual"] <= 1e-12
+
+
 def test_rmatrix_off_generic_branch_is_parameter_error(capsys):
     code, _, err = run(capsys, "verify-rmatrix", "--kappa1", "0.3", "--kappa2",
                        "0.3", "--gamma1", "0.7")
@@ -249,6 +267,47 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_numpy_loads_only_for_verify_rmatrix():
+    # every subcommand but verify-rmatrix, and a verify-rmatrix run refused
+    # during validation, runs without numpy and the R-matrix layer
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("QHOPF_MAX_SECTOR", None)
+    code = """if True:
+        import contextlib, io, sys
+        import qhopf
+        assert "numpy" not in sys.modules
+        from qhopf.cli import main
+        runs = [
+            ("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),
+            ("verify-hopf", "--kappa1", "0.3", "--kappa2", "-0.3", "--gamma1", "0.8",
+             "--k", "0", "--max-order", "2"),
+            ("tabulate", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"),
+            ("convert-params", "--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0"),
+            ("verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7",
+             "--max-sector", "-1"),
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            print(argv[0], code, err.getvalue().startswith("error: "),
+                  "numpy" in sys.modules, "qhopf.fock" in sys.modules)
+        assert "build_rmatrix" in dir(qhopf)
+        from qhopf import SectorOperator, build_rmatrix
+        print(build_rmatrix.__module__, SectorOperator.__module__, "numpy" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "classify 0 False False False",
+        "verify-hopf 0 False False False",
+        "tabulate 0 False False False",
+        "convert-params 0 False False False",
+        "verify-rmatrix 2 True False False",
+        "qhopf.fock qhopf.fock True",
+    ]
 
 
 def test_max_order_zero_is_honoured(capsys):
@@ -363,6 +422,9 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
       "--gamma2=-1e308", "--max-sector=2"), {"QHOPF_MAX_SECTOR": "4"}),
     (("verify-rmatrix", "--kappa1=710", "--kappa2=-0.7", "--g0=710i", "--gamma1=0",
       "--k=-1", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+    # G(n) and F(n) overflow in plain complex arithmetic, which does not raise
+    (("tabulate", "--kappa1=1e-9", "--kappa2=-0.7", "--g0=1e308", "--gamma1=-1e-300",
+      "--k=-100", "--n-max=28"), {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a
