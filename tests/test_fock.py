@@ -10,6 +10,7 @@ from qhopf import (FockWindow, HopfOscillator, NonUnitarizableWindowError,
                    proposition1_params, represent_tensor, sector_dim, sector_states,
                    structure_function_values)
 from qhopf.expalg import EvaluationOverflow, ExpPoly
+from series_reference import series_tensor_terms
 
 
 def random_monomial(algebra, rng, max_rs=3, max_power=2):
@@ -242,7 +243,7 @@ def reference_represent_tensor(t, params, m_max):
                                    "three-leg-lowering"])
 def test_represent_tensor_equals_reference_loop(which):
     # a non-Hermitian pack, so the principal complex square roots are exercised
-    from qhopf.fock import _RMatrixAmplitude, _series_tensor_terms
+    from qhopf.fock import _RMatrixAmplitude
     p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j)
     alg = HopfOscillator(p)
     if which == "mixed-monomial":
@@ -256,7 +257,7 @@ def test_represent_tensor_equals_reference_loop(which):
         assert any(all(s > 0 for _, s in key) for key in t.terms)
     else:
         leg = 0 if which == "split-left" else 1
-        t = alg.coproduct_on_leg(_series_tensor_terms(alg, _RMatrixAmplitude(p, 12), 12), leg)
+        t = alg.coproduct_on_leg(series_tensor_terms(alg, _RMatrixAmplitude(p, 12), 12), leg)
     got = represent_tensor(t, p, 12)
     want = reference_represent_tensor(t, p, 12)
     for m in range(13):

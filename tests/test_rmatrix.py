@@ -11,10 +11,10 @@ from qhopf import (CheckReport, OhSinghParams, build_params, build_rmatrix,
                    compare_sector_operators, param_map_oh_singh, proposition1_params,
                    represent_tensor, sector_states)
 from qhopf.cli import main
-from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _embed_pair,
-                        _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude,
-                        _series_tensor_terms)
+from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _coproduct_splits,
+                        _embed_pair, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
 from qhopf.hopf import HopfOscillator, TensorElement
+from series_reference import series_tensor_terms
 
 
 # ------------------------------------------------------------- block structure
@@ -79,7 +79,7 @@ def test_symbolic_series_matches_amplitude(generic_params):
     # reproduces the amplitude-built blocks
     p = generic_params
     alg = HopfOscillator(p)
-    series = _series_tensor_terms(alg, _RMatrixAmplitude(p, 4), 4)
+    series = series_tensor_terms(alg, _RMatrixAmplitude(p, 4), 4)
     rep = represent_tensor(series, p, 4)
     r = build_rmatrix(p, 4)
     for m in range(5):
@@ -126,6 +126,69 @@ def test_perturbed_lambda_negative_control(generic_params):
     rep = check_quasitriangularity(p, 4, lambda_sq=p.lambda_sq * 1.01)
     worst = max(c.residual for c in rep.checks if c.name.startswith("intertwiner-a["))
     assert worst > 1e-4
+
+
+def test_series_coefficient_control_fails_both_splits(monkeypatch, generic_params):
+    # the 1% lambda^2 control scales c_n by t^n, a conjugation by t^{-N} on
+    # leg 1 that cancels in R13 R23 and R13 R12; a 1% change of c_2 alone
+    # does not, so both splits must see it
+    init = _RMatrixAmplitude.__init__
+
+    def perturbed(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.series[2] *= 1.01
+
+    monkeypatch.setattr(_RMatrixAmplitude, "__init__", perturbed)
+    got = {c.name: c.residual for c in check_quasitriangularity(generic_params, 4).checks}
+    for side in ("left", "right"):
+        for m in range(2, 5):
+            assert got[f"coproduct-split-{side}[M={m}]"] > 1e-4
+
+
+SPLIT_PACKS = {"generic-real": build_params(0.5, 0.1, 0.7, 1.0),
+               "generic-complex": build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j,
+                                               1.2 + 0.2j),
+               "proposition1": proposition1_params(0.5, 0.8, 0, 1.0)}
+
+
+@pytest.mark.parametrize("pack", sorted(SPLIT_PACKS))
+def test_coproduct_splits_equal_symbolic_reference(pack):
+    # the splits built from the coproduct(a) and coproduct(adag) blocks
+    # against the symbolic coproduct of the symbolic series, represented
+    p = SPLIT_PACKS[pack]
+    m_max = 8
+    alg = HopfOscillator(p)
+    amp = _RMatrixAmplitude(p, m_max)
+    d_a, d_adag = (represent_tensor(alg.coproduct(h), p, m_max)
+                   for h in (alg.lowering(), alg.raising()))
+    got = list(_coproduct_splits(amp, d_a, d_adag, m_max))
+    assert len(got) == m_max + 1
+    series = series_tensor_terms(alg, amp, m_max)
+    for leg in (0, 1):
+        want = represent_tensor(alg.coproduct_on_leg(series, leg), p, m_max)
+        for m in range(m_max + 1):
+            assert _rel_residual(got[m][leg], want.blocks[m]) <= 1e-13, (leg, m)
+
+
+def test_quasitriangularity_represents_three_coproducts(monkeypatch, generic_params):
+    # the splits reuse the coproduct(a) and coproduct(adag) blocks of the
+    # intertwiner probes: no symbolic coproduct of the series
+    import qhopf.fock as fock
+
+    calls = {"represent_tensor": 0, "coproduct_on_leg": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "represent_tensor",
+                        counted("represent_tensor", fock.represent_tensor))
+    monkeypatch.setattr(HopfOscillator, "coproduct_on_leg",
+                        counted("coproduct_on_leg", HopfOscillator.coproduct_on_leg))
+    assert check_quasitriangularity(generic_params, 6).passed
+    assert calls == {"represent_tensor": 3, "coproduct_on_leg": 0}
 
 
 def test_intertwiner_on_number_is_commutant(generic_params):
@@ -250,6 +313,25 @@ def test_quasitriangularity_needs_no_dense_inverse(monkeypatch, generic_params):
     assert sum(c.name.startswith("intertwiner-") for c in rep.checks) == 3 * 7 - 2
 
 
+def reference_embed_loop(r2, pair, m_max):
+    """3-leg embedding of the 2-leg blocks ``r2``, entry by entry."""
+    i, j = pair
+    blocks = {}
+    for m in range(m_max + 1):
+        states = sector_states(m, 3)
+        index = {st: t for t, st in enumerate(states)}
+        block = np.zeros((len(states), len(states)), dtype=complex)
+        for col, st in enumerate(states):
+            sub = st[i] + st[j]
+            column = r2.blocks[sub][:, st[j]]
+            target = list(st)
+            for row in range(sub + 1):
+                target[i], target[j] = sub - row, row
+                block[index[tuple(target)], col] = column[row]
+        blocks[m] = block
+    return blocks
+
+
 def reference_embed_pair(amp, pair, m_max):
     """3-leg embedding evaluated entrywise from the amplitude."""
     i, j = pair
@@ -270,16 +352,19 @@ def reference_embed_pair(amp, pair, m_max):
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 @pytest.mark.parametrize("form", ["general", "oh-singh"])
 def test_embed_pair_equals_amplitude_loop(pair, form):
-    m_max = 8
+    m_max = 12
     if form == "general":
         amp = _RMatrixAmplitude(build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j,
                                              1.2 + 0.2j), m_max)
     else:
         amp = _OhSinghAmplitude(OhSinghParams(0.5, 1.2, 0.3, 0), m_max)
-    got = _embed_pair(_blocks_from_amplitude(amp, m_max), pair, m_max)
+    r2 = _blocks_from_amplitude(amp, m_max)
+    got = _embed_pair(r2, pair, m_max)
     want = reference_embed_pair(amp, pair, m_max)
+    loop = reference_embed_loop(r2, pair, m_max)
     for m in range(m_max + 1):
         assert np.array_equal(got.blocks[m], want[m])
+        assert np.array_equal(got.blocks[m], loop[m])
 
 
 # --------------------------------------------------------- residual overflow
