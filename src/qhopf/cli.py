@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -252,8 +253,8 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     # a run refused above) start without them
     import numpy as np
 
-    from .fock import (build_rmatrix, build_rmatrix_oh_singh, check_quasitriangularity,
-                       check_yang_baxter, compare_sector_operators)
+    from .fock import (build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
+                       compare_sector_operators)
 
     rep = CheckReport()
     # a numpy overflow, division by zero or invalid operation raises
@@ -265,7 +266,9 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
             rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
                           "max_sector": m_max}
             r = build_rmatrix_oh_singh(o, m_max)
-            _, per = compare_sector_operators(r, build_rmatrix(params, m_max))
+            # qt/ judges the general-form R, the one compared with r here
+            qt = check_quasitriangularity(params, m_max)
+            _, per = compare_sector_operators(r, qt.rmatrix)
             for m, res in per.items():
                 rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
         else:
@@ -275,8 +278,12 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
                     f"the R-matrix needs the generic branch, got {params.branch}")
             rep.params = params.to_dict()
             rep.params["max_sector"] = m_max
-            r = build_rmatrix(params, m_max)
-        rep.extend(check_quasitriangularity(params, m_max), prefix="qt/")
+            qt = check_quasitriangularity(params, m_max)
+            r = qt.rmatrix
+        rep.extend(qt, prefix="qt/")
+        # under --oh-singh this frees the general-form R and its embeddings
+        # before r is embedded
+        del qt
         rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
         if requested > cap:
             rep.params["max_sector_capped_at"] = cap
@@ -357,34 +364,36 @@ def _add_param_flags(sp):
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser():
+    """The ``qhopf`` parser, built on first use and kept for the process."""
+    # the flags every subcommand shares, added once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    _add_param_flags(common)
     parser = argparse.ArgumentParser(
         prog="qhopf",
         description="verification toolkit for deformed oscillator Hopf algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="hermiticity / family classification")
-    _add_param_flags(sp)
+    sub.add_parser("classify", parents=[common], help="hermiticity / family classification")
 
-    sp = sub.add_parser("verify-hopf", help="symbolic Hopf-axiom and chain checks")
-    _add_param_flags(sp)
+    sp = sub.add_parser("verify-hopf", parents=[common],
+                        help="symbolic Hopf-axiom and chain checks")
     sp.add_argument("--max-order", dest="max_order", type=int, default=None)
 
-    sp = sub.add_parser("verify-rmatrix",
+    sp = sub.add_parser("verify-rmatrix", parents=[common],
                         help="quasitriangularity and Yang-Baxter checks")
-    _add_param_flags(sp)
     sp.add_argument("--max-sector", dest="max_sector", type=int, default=None)
     sp.add_argument("--oh-singh", dest="oh_singh", action="store_true",
                     help="build the R-matrix from the q-oscillator form")
     sp.add_argument("--dump-blocks", dest="dump_blocks", type=str, default=None,
                     help="write the R-matrix sector blocks to a JSON file")
 
-    sp = sub.add_parser("tabulate", help="CSV table of G, F and the coefficients")
-    _add_param_flags(sp)
+    sp = sub.add_parser("tabulate", parents=[common],
+                        help="CSV table of G, F and the coefficients")
     sp.add_argument("--n-max", dest="n_max", type=int, default=None)
 
-    sp = sub.add_parser("convert-params", help="parameter dictionary, both ways")
-    _add_param_flags(sp)
+    sub.add_parser("convert-params", parents=[common], help="parameter dictionary, both ways")
     return parser
 
 

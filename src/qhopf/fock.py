@@ -18,7 +18,9 @@ general (kappa1, kappa2, gamma) form and, independently, in the q-oscillator
 (eps, alpha, beta, k) form, and the quasitriangularity relations plus the
 Yang-Baxter equation are checked as finite matrix identities.  Each check
 reads R, and its 3-leg embeddings R12, R13 and R23, from 2-leg sector
-blocks; Yang-Baxter judges the blocks it is given.  The coproduct splits
+blocks; an operator builds its embeddings once and keeps them, so a
+Yang-Baxter check on the R that the quasitriangularity check built and
+returned embeds nothing again.  The coproduct splits
 (coproduct (x) id) R and (id (x) coproduct) R are built term by term of the
 series from the represented coproduct(a) and coproduct(adag) blocks, since
 the coproduct is an algebra map on the module.  None of them inverts R:
@@ -35,6 +37,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -203,6 +206,14 @@ class SectorOperator:
 
     def sectors(self):
         return sorted(self.blocks)
+
+    @cached_property
+    def embeddings(self):
+        """(R12, R13, R23): the 3-leg embeddings of this 2-leg degree-0
+        operator on every sector it has, built on first use and kept with it,
+        so the checks that read one R embed it once."""
+        top = max(self.blocks, default=-1)
+        return tuple(_embed_pair(self, pair, top) for pair in ((0, 1), (0, 2), (1, 2)))
 
     def to_payload(self, params=None):
         """JSON-ready dump: {params, legs, degree, sectors:[{M, rows, cols,
@@ -540,9 +551,20 @@ def _split_prefactor_diag(params, states, mode):
     return out
 
 
+@dataclass
+class _QuasitriangularityReport(CheckReport):
+    """The report of ``check_quasitriangularity`` with the R it judged."""
+
+    rmatrix: SectorOperator | None = field(default=None, repr=False, compare=False)
+
+
 def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """Verify the three quasitriangularity relations per sector M <= m_max.
 
+    R is ``build_rmatrix(params, m_max, lambda_sq)``, built here, and the
+    report keeps it as ``rmatrix``, its 3-leg embeddings built, so that a
+    caller judges Yang-Baxter on (``check_yang_baxter``) and dumps the very
+    blocks judged here, embedded once.
     (coproduct (x) id) R = R13 R23 and (id (x) coproduct) R = R13 R12 are
     evaluated term by term of the series (finite per sector), the coproduct
     of each term built from the represented coproduct(a) and coproduct(adag)
@@ -553,14 +575,13 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     true identity.  coproduct^op(h)_M is the block of coproduct(h)_M with
     rows and columns reversed: the leg swap |n1, n2> -> |n2, n1> reverses
     the sector basis.
-    R is ``build_rmatrix(params, m_max, lambda_sq)``.  Residuals are relative
-    Frobenius norms, each judged against ``tol``.
+    Residuals are relative Frobenius norms, each judged against ``tol``.
     """
-    algebra = HopfOscillator(params)
-    rep = CheckReport(params=params.to_dict())
     amp = _RMatrixAmplitude(params, m_max, lambda_sq)
     r2 = _blocks_from_amplitude(amp, m_max)
-    r12, r13, r23 = (_embed_pair(r2, pair, m_max) for pair in ((0, 1), (0, 2), (1, 2)))
+    r12, r13, r23 = r2.embeddings
+    algebra = HopfOscillator(params)
+    rep = _QuasitriangularityReport(params=params.to_dict(), rmatrix=r2)
     probes = [("a", algebra.lowering(), -1), ("adag", algebra.raising(), +1),
               ("N", algebra.number_op(), 0)]
     coproducts = {name: represent_tensor(algebra.coproduct(h), params, m_max)
@@ -590,10 +611,12 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
 
 def check_yang_baxter(r, m_max, tol=1e-8):
     """R12 R13 R23 = R23 R13 R12 per 3-leg sector M <= m_max, on the 3-leg
-    embeddings of the 2-leg R blocks ``r`` (from ``build_rmatrix`` or
-    ``build_rmatrix_oh_singh``)."""
+    embeddings of the 2-leg R blocks ``r`` (from ``build_rmatrix``,
+    ``build_rmatrix_oh_singh`` or the ``rmatrix`` of a
+    ``check_quasitriangularity`` report, whose embeddings are already built
+    and are not built again)."""
     rep = CheckReport()
-    r12, r13, r23 = (_embed_pair(r, pair, m_max) for pair in ((0, 1), (0, 2), (1, 2)))
+    r12, r13, r23 = r.embeddings
     for m in range(m_max + 1):
         lhs = r12.blocks[m] @ r13.blocks[m] @ r23.blocks[m]
         rhs = r23.blocks[m] @ r13.blocks[m] @ r12.blocks[m]

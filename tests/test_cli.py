@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qhopf import (OhSinghParams, SectorOperator, build_params, build_rmatrix,
-                   build_rmatrix_oh_singh, check_yang_baxter)
+                   build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
+                   param_map_oh_singh)
+from qhopf import cli, fock
 from qhopf.cli import main
 
 
@@ -112,6 +114,142 @@ def test_dump_is_the_judged_rmatrix(capsys, tmp_path, form):
     judged = [c["residual"] for c in json.loads(out)["checks"]
               if c["name"].startswith("ybe/")]
     assert [c.residual for c in check_yang_baxter(dumped, m).checks] == judged
+
+
+GENERAL_ARGV = ["--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"]
+OH_SINGH_ARGV = ["--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0", "--oh-singh"]
+OH_SINGH = OhSinghParams(0.5, 1.2, 0.3, 0)
+
+
+@pytest.mark.parametrize("argv, blocks, embeds", [
+    (GENERAL_ARGV, 1, 3),
+    # the q-oscillator R for ybe/ and the dump, the general R for qt/
+    (OH_SINGH_ARGV, 2, 6),
+], ids=["general", "oh-singh"])
+def test_verify_rmatrix_builds_and_embeds_each_r_once(capsys, monkeypatch, argv, blocks,
+                                                      embeds):
+    calls = {"blocks": 0, "embeds": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "_blocks_from_amplitude",
+                        counted(fock._blocks_from_amplitude, "blocks"))
+    monkeypatch.setattr(fock, "_embed_pair", counted(fock._embed_pair, "embeds"))
+    code, _, _ = run(capsys, "verify-rmatrix", *argv, "--max-sector", "6")
+    assert code == 0
+    assert calls == {"blocks": blocks, "embeds": embeds}
+
+
+@pytest.mark.parametrize("m", [6, 12])
+@pytest.mark.parametrize("form", ["general", "oh-singh"])
+def test_shared_rmatrix_gives_the_residuals_of_separate_checks(capsys, monkeypatch, form, m):
+    # qt/ judges the general-form R in both forms; ybe/ judges the q-oscillator
+    # R under --oh-singh
+    monkeypatch.setenv("QHOPF_MAX_SECTOR", "12")
+    if form == "general":
+        argv, params = GENERAL_ARGV, build_params(0.5, 0.1, 0.7, 1.0)
+        r = build_rmatrix(params, m)
+    else:
+        argv, params = OH_SINGH_ARGV, param_map_oh_singh(OH_SINGH)
+        r = build_rmatrix_oh_singh(OH_SINGH, m)
+    _, out, _ = run(capsys, "verify-rmatrix", *argv, "--max-sector", str(m),
+                    "--format", "json")
+    checks = json.loads(out)["checks"]
+    for prefix, rep in (("qt/", check_quasitriangularity(params, m)),
+                        ("ybe/", check_yang_baxter(r, m))):
+        got = [(c["name"], c["residual"]) for c in checks if c["name"].startswith(prefix)]
+        assert got == [(prefix + c.name, c.residual) for c in rep.checks]
+
+
+# The help texts at 80 columns, pinned byte for byte: sharing the flags
+# through one parent parser must not change them.
+_USAGE_FLAGS = """\
+[-h] [--kappa1 KAPPA1] [--kappa2 KAPPA2] [--g0 G0]
+{pad}[--gamma1 GAMMA1] [--gamma2 GAMMA2] [--xi XI]
+{pad}[--eta ETA] [--eps EPS] [--q Q] [--alpha ALPHA]
+{pad}[--beta BETA] [--k K] [--config CONFIG]
+{pad}[--format {{text,json}}]"""
+_SHARED_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --kappa1 KAPPA1
+  --kappa2 KAPPA2
+  --g0 G0
+  --gamma1 GAMMA1
+  --gamma2 GAMMA2
+  --xi XI
+  --eta ETA
+  --eps EPS
+  --q Q
+  --alpha ALPHA
+  --beta BETA
+  --k K
+  --config CONFIG       JSON file providing the same keys; flags override it
+  --format {text,json}
+"""
+_SUBCOMMAND_EXTRAS = {
+    "classify": ("", ""),
+    "verify-hopf": (" [--max-order MAX_ORDER]", "  --max-order MAX_ORDER\n"),
+    "verify-rmatrix": (
+        " [--max-sector MAX_SECTOR]\n"
+        "                            [--oh-singh] [--dump-blocks DUMP_BLOCKS]",
+        "  --max-sector MAX_SECTOR\n"
+        "  --oh-singh            build the R-matrix from the q-oscillator form\n"
+        "  --dump-blocks DUMP_BLOCKS\n"
+        "                        write the R-matrix sector blocks to a JSON file\n"),
+    "tabulate": (" [--n-max N_MAX]", "  --n-max N_MAX\n"),
+    "convert-params": ("", ""),
+}
+_TOP_HELP = """\
+usage: qhopf [-h]
+             {classify,verify-hopf,verify-rmatrix,tabulate,convert-params} ...
+
+verification toolkit for deformed oscillator Hopf algebras
+
+positional arguments:
+  {classify,verify-hopf,verify-rmatrix,tabulate,convert-params}
+    classify            hermiticity / family classification
+    verify-hopf         symbolic Hopf-axiom and chain checks
+    verify-rmatrix      quasitriangularity and Yang-Baxter checks
+    tabulate            CSV table of G, F and the coefficients
+    convert-params      parameter dictionary, both ways
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _subcommand_help(name):
+    usage_extra, options_extra = _SUBCOMMAND_EXTRAS[name]
+    head = f"usage: qhopf {name} "
+    flags = _USAGE_FLAGS.format(pad=" " * len(head))
+    return f"{head}{flags}{usage_extra}\n\n{_SHARED_OPTIONS}{options_extra}"
+
+
+@pytest.mark.parametrize("command", [None, *_SUBCOMMAND_EXTRAS])
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert code == 0 and err == ""
+    assert out == (_TOP_HELP if command is None else _subcommand_help(command))
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "_add_param_flags",
+                        lambda sp, add=cli._add_param_flags: builds.append(add(sp)))
+    cli.build_parser.cache_clear()
+    argv = ["convert-params", "--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "verify-rmatrix", *GENERAL_ARGV, "--max-sector", "x")
+    assert code == 2 and out == ""
+    assert "argument --max-sector: invalid int value: 'x'" in err
+    assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_tabulate_csv(capsys):
