@@ -348,7 +348,15 @@ def param_map_oh_singh(o):
     g1 = (2 * o.beta + 1) / (2 * o.alpha)
     g2 = (2 * o.k + 1) * math.pi / (2 * xi)
     g0 = math.cosh(o.eps * (2 * o.beta + 1) / 2) / math.cosh(o.eps / 2)
-    return build_params(xi / 2, -xi / 2, complex(g1, g2), g0)
+    # refused here, in the terms of the q-oscillator pack, rather than as a
+    # kappa1 or gamma that the user never gave (math.cosh raises
+    # OverflowError itself, so G(0) is finite)
+    gamma = complex(g1, g2)
+    for name, z in (("xi = alpha*eps", xi),
+                    ("gamma = (2 beta + 1)/(2 alpha) + i (2k + 1) pi/(2 xi)", gamma)):
+        if not cmath.isfinite(z):
+            raise OverflowError(f"{name} = {z} exceeds double precision")
+    return build_params(xi / 2, -xi / 2, gamma, g0)
 
 
 def param_map_inverse(p, eps_max=20.0):

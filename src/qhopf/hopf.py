@@ -27,11 +27,12 @@ antipode act inside one leg of a tensor element through one leg map, which
 puts the image of each leg monomial in that leg's place.
 
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
-+ G(N+s-1), the structure function and the powers coproduct(adag)^r and
-coproduct(a)^s; ``tensor_product`` memoizes single-leg products only for the
-duration of one call, and nothing is cached at module level.  Each
-combination of leg products becomes one coefficient function in a single
-``ExpPoly`` construction, multiplied up leg by leg.
++ G(N+s-1), the structure function, the powers of coproduct(adag),
+coproduct(a), S(adag) and S(a), the product of each pair of unit leg
+monomials and the image of each leg monomial under the coproduct or the
+antipode, lifted into its place among the legs; nothing is cached at module
+level.  Each combination of leg products becomes one coefficient function in
+a single ``ExpPoly`` construction, multiplied up leg by leg.
 
 Three parameter branches are distinguished:
 
@@ -131,6 +132,11 @@ def build_params(kappa1, kappa2, gamma, g0=1.0):
     else:
         branch = "generic"
     kappa = kappa1 - kappa2
+    # finite inputs can still give an infinite kappa or kappa*gamma, on which
+    # cmath.sinh raises a bare ValueError
+    for name, z in (("kappa = kappa1 - kappa2", kappa), ("kappa*gamma", kappa * gamma)):
+        if not cmath.isfinite(z):
+            raise OverflowError(f"{name} = {z} exceeds double precision")
     lambda_sq = None
     if branch == "generic":
         s = cmath.sinh(kappa * gamma)
@@ -390,9 +396,14 @@ class HopfOscillator:
         self.antipode_pair = antipode_weights(params)
         self.counit_point = (complex(counit_point) if counit_point is not None
                              else -params.gamma)
+        # The caches hold bare term dicts and ExpPolys: a stored element points
+        # back at the algebra, and that reference cycle would leave each
+        # instance for the cyclic garbage collector to free.
         self._ladder_sums = {}
         self._structure = None
-        self._coproduct_powers = {}
+        self._powers = {}
+        self._leg_products = {}
+        self._leg_images = {}
 
     # ------------------------------------------------------------------ build
     def scalar(self, value):
@@ -508,18 +519,19 @@ class HopfOscillator:
         t._check(u)
         legs = t.legs
         out = {}
-        # Within one pair of keys the same pair of leg factors recurs; its
-        # product is formed once per call.  Keying on both keys keeps the work
-        # the same on every pack: factors taken from different coefficients
-        # agree to the last bit on some packs and not on others.
-        leg_products = {}
+        # The same pair of unit leg monomials recurs across terms, legs and
+        # calls; its product is formed once per instance.  The memo keys on
+        # the generator vector of each exponent, not on its complex value, so
+        # a hit returns exactly the product the pair itself would give.
+        leg_products = self._leg_products
         for key1, p1 in t.terms.items():
             for pk1, c1 in p1.terms.items():
                 for key2, p2 in u.terms.items():
                     for pk2, c2 in p2.terms.items():
                         leg_results = []
                         for i in range(legs):
-                            memo_key = (key1, key2, key1[i], pk1[i], key2[i], pk2[i])
+                            (mu1, k1), (mu2, k2) = pk1[i], pk2[i]
+                            memo_key = (key1[i], mu1.vec, k1, key2[i], mu2.vec, k2)
                             terms = leg_products.get(memo_key)
                             if terms is None:
                                 prod = self.product(self._leg_monomial(key1[i], pk1[i]),
@@ -548,43 +560,51 @@ class HopfOscillator:
         # f(N) -> f(N1 + N2 + gamma)
         return f.substitute([({0: 1.0, 1: 1.0}, self.params.gamma)], 2)
 
-    def _coproduct_power(self, gen, n):
-        """coproduct(adag)^n for ``gen == "raise"``, coproduct(a)^n for ``"lower"``.
+    def _power(self, gen, n):
+        """D^n for the image D of a ladder generator named by ``gen``:
+        coproduct(adag) for ``"raise"``, coproduct(a) for ``"lower"``,
+        S(adag) for ``"s_raise"`` and S(a) for ``"s_lower"``.
 
-        Power n is the left fold 1 * D * ... * D of D = coproduct(gen); the
-        powers are kept for the life of the instance, each built once from the
-        one below it.  They are kept as bare term dicts: a stored
-        TensorElement points back at the algebra, and that reference cycle
-        would leave each instance for the cyclic garbage collector to free.
+        Power n is the left fold 1 * D * ... * D, the same fold as ``D**n``;
+        the powers are kept for the life of the instance, each built once
+        from the one below it, as bare term dicts with the leg count of D
+        (1 for an algebra element).
         """
-        if not self._coproduct_powers:
-            w = self.weights
-            one = self.tensor_one(2).terms
-            self._coproduct_powers = {
-                "raise": ({((1, 0), (0, 0)): w.raise_right.embed(2, 1),
-                           ((0, 0), (1, 0)): w.raise_left.embed(2, 0)}, [one]),
-                "lower": ({((0, 1), (0, 0)): w.lower_right.embed(2, 1),
-                           ((0, 0), (0, 1)): w.lower_left.embed(2, 0)}, [one]),
+        if not self._powers:
+            w, aw = self.weights, self.antipode_pair
+            one2, one1 = self.tensor_one(2).terms, self.one().terms
+            self._powers = {
+                "raise": (2, {((1, 0), (0, 0)): w.raise_right.embed(2, 1),
+                              ((0, 0), (1, 0)): w.raise_left.embed(2, 0)}, [one2]),
+                "lower": (2, {((0, 1), (0, 0)): w.lower_right.embed(2, 1),
+                              ((0, 0), (0, 1)): w.lower_left.embed(2, 0)}, [one2]),
+                # S(adag) = -raising(N) adag = adag * (-raising(N+1)) in normal order
+                "s_raise": (1, {(1, 0): -(aw.raising.shift(1))}, [one1]),
+                "s_lower": (1, {(0, 1): -aw.lowering}, [one1]),
             }
-        d, powers = self._coproduct_powers[gen]
+        legs, d, powers = self._powers[gen]
         while len(powers) <= n:
-            powers.append(self.tensor_product(TensorElement(self, 2, powers[-1]),
-                                              TensorElement(self, 2, d)).terms)
-        return TensorElement(self, 2, powers[n])
+            powers.append((self._element(legs, powers[-1]) * self._element(legs, d)).terms)
+        return self._element(legs, powers[n])
+
+    def _element(self, legs, terms):
+        if legs == 1:
+            return AlgebraElement(self, terms)
+        return TensorElement(self, legs, terms)
 
     def coproduct(self, x):
         """Algebra homomorphism determined by its action on the generators."""
         total = TensorElement(self, 2, {})
         for (r, s), f in x.terms.items():
             cur = TensorElement(self, 2, {((0, 0), (0, 0)): self._coproduct_of_function(f)})
-            cur = self.tensor_product(self._coproduct_power("raise", r), cur)
-            cur = self.tensor_product(cur, self._coproduct_power("lower", s))
+            cur = self.tensor_product(self._power("raise", r), cur)
+            cur = self.tensor_product(cur, self._power("lower", s))
             total = total + cur
         return total
 
     def coproduct_on_leg(self, t, leg):
         """Apply the coproduct to one leg of a tensor element (legs -> legs+1)."""
-        return self._map_on_leg(t, leg, self.coproduct, 2)
+        return self._map_on_leg(t, leg, 2)
 
     # ----------------------------------------------------------------- counit
     def counit(self, x):
@@ -622,33 +642,43 @@ class HopfOscillator:
 
     def antipode(self, x):
         """Antihomomorphism: S(adag^r f(N) a^s) = S(a)^s S(f(N)) S(adag)^r."""
-        aw = self.antipode_pair
-        # S(adag) = -raising(N) adag = adag * (-raising(N+1)) in normal order
-        s_raise = AlgebraElement(self, {(1, 0): -(aw.raising.shift(1))})
-        s_lower = AlgebraElement(self, {(0, 1): -aw.lowering})
         total = AlgebraElement(self, {})
         for (r, s), f in x.terms.items():
-            term = (s_lower**s) * self.from_function(self._antipode_of_function(f)) \
-                * (s_raise**r)
+            term = self._power("s_lower", s) \
+                * self.from_function(self._antipode_of_function(f)) \
+                * self._power("s_raise", r)
             total = total + term
         return total
 
     def antipode_on_leg(self, t, leg):
         """Apply the antipode inside one leg of a tensor element."""
-        return self._map_on_leg(t, leg, self.antipode, 1)
+        return self._map_on_leg(t, leg, 1)
 
-    def _map_on_leg(self, t, leg, hopf_map, width):
-        """Apply ``hopf_map`` (``coproduct`` or ``antipode``, whose image has
-        ``width`` = 2 or 1 legs) inside leg ``leg`` of a tensor element."""
+    def _map_on_leg(self, t, leg, width):
+        """Apply the coproduct (``width`` = 2, the legs of its image) or the
+        antipode (``width`` = 1) inside leg ``leg`` of a tensor element.
+
+        The image of each unit leg monomial, lifted into legs leg ..
+        leg + width - 1 of the result, is formed once per instance; the memo
+        keys on the generator vector of the exponent, as in
+        ``tensor_product``."""
         legs = t.legs + width - 1
-        slots = [({leg + j: 1.0}, 0j) for j in range(width)]
         out = {}
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
-                image = hopf_map(self._leg_monomial(key[leg], pk[leg]))
-                for ikey, ipoly in image.terms.items():
-                    nk = key[:leg] + (ikey if width == 2 else (ikey,)) + key[leg + 1:]
-                    lifted = ipoly.substitute(slots, legs) * c
+                mu, k = pk[leg]
+                memo_key = (width, leg, t.legs, key[leg], mu.vec, k)
+                images = self._leg_images.get(memo_key)
+                if images is None:
+                    hopf_map = self.coproduct if width == 2 else self.antipode
+                    slots = [({leg + j: 1.0}, 0j) for j in range(width)]
+                    image = hopf_map(self._leg_monomial(key[leg], pk[leg]))
+                    images = self._leg_images[memo_key] = [
+                        (ikey if width == 2 else (ikey,), ipoly.substitute(slots, legs))
+                        for ikey, ipoly in image.terms.items()]
+                for part, image_poly in images:
+                    nk = key[:leg] + part + key[leg + 1:]
+                    lifted = image_poly * c
                     for i in range(t.legs):
                         if i == leg:
                             continue

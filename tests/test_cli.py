@@ -536,6 +536,10 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
     assert proc.stdout == ""
 
 
+_KAPPA_GAMMA_OVERFLOW = ("verify-rmatrix", "--kappa1=1e308", "--kappa2=710i", "--g0=1.2",
+                         "--gamma1=-1e308", "--gamma2=1.2", "--max-sector=3")
+
+
 @pytest.mark.parametrize("argv, env", [
     (("tabulate", "--kappa1=50", "--kappa2=0.5", "--g0=50", "--k=1", "--n-max=1000"), {}),
     (("verify-hopf", "--kappa1=-50", "--kappa2=-0", "--g0=710", "--k=1", "--max-order=2"),
@@ -563,6 +567,8 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
     # G(n) and F(n) overflow in plain complex arithmetic, which does not raise
     (("tabulate", "--kappa1=1e-9", "--kappa2=-0.7", "--g0=1e308", "--gamma1=-1e-300",
       "--k=-100", "--n-max=28"), {}),
+    # a finite pack whose kappa*gamma is not finite
+    (_KAPPA_GAMMA_OVERFLOW, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a
@@ -574,3 +580,19 @@ def test_extreme_packs_exit_two_without_traceback(argv, env):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if argv == _KAPPA_GAMMA_OVERFLOW:
+        # refused as out of range, not as cmath's bare "math domain error"
+        assert proc.stderr.startswith("error: parameters out of floating-point range "
+                                      "(kappa*gamma = ")
+
+
+def test_oh_singh_pack_out_of_range_names_its_own_quantity(capsys):
+    # alpha*eps overflows: the refusal names xi = alpha*eps, not the kappa1
+    # that the forward dictionary would have handed on
+    argv = ["verify-rmatrix", "--eps=710", "--alpha=-1e308", "--beta=0.5", "--k=-100",
+            "--oh-singh", "--max-sector=6"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: parameters out of floating-point range "
+                   "(xi = alpha*eps = -inf exceeds double precision)\n")

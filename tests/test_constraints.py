@@ -237,6 +237,18 @@ def test_inverse_rejects_eps_beyond_bound():
     assert param_map_inverse(p, eps_max=22.0).eps == pytest.approx(21.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("o, quantity", [
+    (OhSinghParams(710.0, -1e308, 0.5, -100), "xi = alpha*eps = -inf"),
+    (OhSinghParams(1.0, 1e-320, 0.0, 0), "gamma = "),
+])
+def test_forward_map_refuses_overflow_in_its_own_terms(o, quantity):
+    # the mapped q-oscillator quantity is named, not the kappa1 or gamma of
+    # the pack it would have built
+    with pytest.raises(OverflowError, match=r"exceeds double precision$") as info:
+        param_map_oh_singh(o)
+    assert str(info.value).startswith(quantity)
+
+
 def test_q_number_identity_random():
     rng = random.Random(59)
     for _ in range(20):

@@ -1,7 +1,9 @@
 import cmath
+import gc
 import math
 import random
 import re
+import weakref
 from itertools import product as cartesian
 
 import numpy as np
@@ -65,6 +67,17 @@ def test_build_params_rejects_singular_sinh():
 ])
 def test_build_params_rejects_non_finite_pack(pack, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite"):
+        build_params(*pack)
+
+
+@pytest.mark.parametrize("pack, name", [
+    ((1e308, -1e308, 0.7, 1.0), "kappa = kappa1 - kappa2"),
+    ((1e308, -1e308, 0.0, 1.0), "kappa = kappa1 - kappa2"),
+    ((1e308, 710j, complex(-1e308, 1.2), 1.2), "kappa*gamma"),
+])
+def test_build_params_refuses_finite_pack_with_infinite_kappa_or_kappa_gamma(pack, name):
+    # cmath.sinh would raise a bare ValueError ("math domain error") here
+    with pytest.raises(OverflowError, match=rf"^{re.escape(name)} = .* exceeds double precision$"):
         build_params(*pack)
 
 
@@ -311,6 +324,72 @@ def test_coproduct_power_caches_are_per_instance(generic_params, prop1_params):
     plain, _, hooked = algs
     assert (coefficients(plain.coproduct(plain.monomial(0, 3)))
             != coefficients(hooked.coproduct(hooked.monomial(0, 3))))
+
+
+@pytest.mark.parametrize("fixture", ["generic_params", "degenerate_params",
+                                     "gamma_zero_params", "prop1_params"])
+def test_warm_caches_change_no_report(fixture, request):
+    # the second run reads the leg products, leg images and powers that the
+    # first one stored; its report is that of a fresh instance, byte for byte
+    p = request.getfixturevalue(fixture)
+    warm = HopfOscillator(p)
+    first = warm.check_axioms().to_json()
+    assert warm.check_axioms().to_json() == first == HopfOscillator(p).check_axioms().to_json()
+
+
+COUNIT_CONTROL_FAILURES = {
+    "antipode-left[N]", "antipode-left[N^2]", "antipode-right[N]", "antipode-right[N^2]",
+    "counit-commutator[a,adag]",
+    *(f"counit-{side}[{name}]" for side in ("left", "right")
+      for name in ("a", "adag", "N", "N^2", "adag^2 e^{0.3N} a", "adag N e^{-0.2N} a^2")),
+}
+
+
+def test_caches_do_not_leak_between_instances(prop1_params, generic_params):
+    # solved and hooked instances of one pack, run interleaved and twice
+    # each: every instance fails exactly the checks its own hooks break
+    p, g = prop1_params, generic_params
+    runs = [(HopfOscillator(p), set()),
+            (HopfOscillator(p, counit_point=-p.gamma + 0.1), COUNIT_CONTROL_FAILURES),
+            (HopfOscillator(g), set()),
+            (HopfOscillator(g, g=ExpPoly.constant(1.0)),
+             {"coproduct-commutator[a,adag]", "counit-commutator[a,adag]"})]
+    for alg, failures in runs + runs:
+        assert {c.name for c in alg.check_axioms().failures()} == failures
+
+
+def test_caches_leave_no_reference_cycle(prop1_params):
+    # the caches hold term dicts and ExpPolys, never an element (which points
+    # back at the algebra), so reference counting alone frees the instance
+    gc.disable()
+    try:
+        alg = HopfOscillator(prop1_params)
+        alg.check_axioms()
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
+    # each product of two unit leg monomials, each image of a leg monomial
+    # and each antipode power is formed once per instance: 508 products on
+    # the first run (1216 when they were formed afresh per use), and the
+    # second run forms only those that no cache holds
+    calls = []
+    product = HopfOscillator.product
+
+    def counted(self, x, y):
+        calls.append(1)
+        return product(self, x, y)
+
+    monkeypatch.setattr(HopfOscillator, "product", counted)
+    alg = HopfOscillator(prop1_params)
+    alg.check_axioms()
+    assert len(calls) == 508
+    alg.check_axioms()
+    assert len(calls) == 508 + 113
 
 
 # --------------------------------------------------------------------- counit
