@@ -24,15 +24,16 @@ and never create new exponents.
 ``AlgebraElement`` and ``TensorElement`` share one element core for their
 arithmetic and keep only their own product and shape.  The coproduct and the
 antipode act inside one leg of a tensor element through one leg map, which
-puts the image of each leg monomial in that leg's place.
+splices the term keys of the image of each leg monomial into that leg's
+place, as ``tensor_join`` splices those of each factor.
 
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function, the powers of coproduct(adag),
 coproduct(a), S(adag) and S(a), the product of each pair of unit leg
 monomials and the image of each leg monomial under the coproduct or the
-antipode, lifted into its place among the legs; nothing is cached at module
-level.  Each combination of leg products becomes one coefficient function in
-a single ``ExpPoly`` construction, multiplied up leg by leg.
+antipode, kept once whatever leg it is spliced into; nothing is cached at
+module level.  Each combination of leg products becomes one coefficient
+function in a single ``ExpPoly`` construction, multiplied up leg by leg.
 
 Three parameter branches are distinguished:
 
@@ -253,6 +254,13 @@ def _acc(store, key, poly):
         store[key] = store[key] + poly
     else:
         store[key] = poly
+
+
+def _spliced(pk, leg, part, c):
+    """Terms of c * ``part`` put in place of factor ``leg`` of the leg
+    factors ``pk``: each term key of ``part``, the factors of one leg or
+    more, is spliced in for pk[leg]."""
+    return {pk[:leg] + ipk + pk[leg + 1:]: ic * c for ipk, ic in part.terms.items()}
 
 
 class _Element:
@@ -500,7 +508,11 @@ class HopfOscillator:
             nxt = {}
             for key0, poly0 in out.items():
                 for key1, poly1 in fac.terms.items():
-                    _acc(nxt, key0 + (key1,), poly0 * poly1.embed(legs, leg))
+                    raw = {}
+                    for pk0, c0 in poly0.terms.items():
+                        raw.update(_spliced(pk0, leg, poly1, c0))
+                    _acc(nxt, key0 + (key1,), ExpPoly(legs, raw, scale=poly0.scale * poly1.scale,
+                                                      canonical=True))
             out = nxt
         return TensorElement(self, legs, out)
 
@@ -658,34 +670,29 @@ class HopfOscillator:
         """Apply the coproduct (``width`` = 2, the legs of its image) or the
         antipode (``width`` = 1) inside leg ``leg`` of a tensor element.
 
-        The image of each unit leg monomial, lifted into legs leg ..
-        leg + width - 1 of the result, is formed once per instance; the memo
-        keys on the generator vector of the exponent, as in
-        ``tensor_product``."""
+        The image of each unit leg monomial is formed once per instance and
+        kept as the map returns it, whatever leg and leg count it is used
+        at; the memo keys on the generator vector of the exponent, as in
+        ``tensor_product``.  A term c * (leg factors) takes each part of the
+        image in one ``ExpPoly`` construction, with its term keys spliced in
+        for the factor of leg ``leg``."""
         legs = t.legs + width - 1
         out = {}
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
                 mu, k = pk[leg]
-                memo_key = (width, leg, t.legs, key[leg], mu.vec, k)
+                memo_key = (width, key[leg], mu.vec, k)
                 images = self._leg_images.get(memo_key)
                 if images is None:
                     hopf_map = self.coproduct if width == 2 else self.antipode
-                    slots = [({leg + j: 1.0}, 0j) for j in range(width)]
                     image = hopf_map(self._leg_monomial(key[leg], pk[leg]))
                     images = self._leg_images[memo_key] = [
-                        (ikey if width == 2 else (ikey,), ipoly.substitute(slots, legs))
+                        (ikey if width == 2 else (ikey,), ipoly)
                         for ikey, ipoly in image.terms.items()]
-                for part, image_poly in images:
-                    nk = key[:leg] + part + key[leg + 1:]
-                    lifted = image_poly * c
-                    for i in range(t.legs):
-                        if i == leg:
-                            continue
-                        pos = i if i < leg else i + width - 1
-                        lifted = lifted * ExpPoly(1, {(pk[i],): 1.0 + 0j},
-                                                  canonical=True).embed(legs, pos)
-                    _acc(out, nk, lifted)
+                for part, ipoly in images:
+                    _acc(out, key[:leg] + part + key[leg + 1:],
+                         ExpPoly(legs, _spliced(pk, leg, ipoly, c), scale=ipoly.scale * abs(c),
+                                 canonical=True))
         return TensorElement(self, legs, out)
 
     # ------------------------------------------------------------- structure

@@ -14,6 +14,7 @@ from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    proposition1_params, structure_function, structure_function_values)
 from qhopf.expalg import ExpPoly
 from qhopf.fock import _RMatrixAmplitude
+from leg_map_reference import embedded_join, leg_moved, lifted_map_on_leg
 from series_reference import series_tensor_terms
 
 
@@ -309,6 +310,50 @@ def test_tensor_product_equals_embed_chain(generic_complex_params):
                 assert match == [c]
 
 
+def assert_same_terms(got, want):
+    # keys, coefficient items, scale and residual floor, in order and exactly
+    assert list(got.terms) == list(want.terms)
+    for key, poly in got.terms.items():
+        ref = want.terms[key]
+        assert list(poly.terms.items()) == list(ref.terms.items())
+        assert (poly.scale, poly.residual_floor) == (ref.scale, ref.residual_floor)
+
+
+@pytest.mark.parametrize("fixture", ["generic_complex_params", "prop1_params",
+                                     "degenerate_params", "gamma_zero_params"])
+def test_leg_maps_equal_the_embedded_lift(fixture, request):
+    p = request.getfixturevalue(fixture)
+    probe_alg = HopfOscillator(p)
+    d = (probe_alg.coproduct(probe_alg.monomial(2, 1, ExpPoly.exponential(0.3 - 0.1j)))
+         + probe_alg.coproduct(probe_alg.monomial(1, 2, ExpPoly.variable()**2))
+         + probe_alg.coproduct(probe_alg.number_op()))
+    dd = lifted_map_on_leg(probe_alg, d, 0, 2)
+    # (input, leg, width, legs and leg that first carry the same leg monomials)
+    cases = [(d, 0, 2, 2, 1), (d, 1, 2, 2, 0),
+             (d, 0, 1, 3, 2), (d, 1, 1, 3, 0),
+             (dd, 0, 1, 2, 1), (dd, 1, 1, 2, 0), (dd, 2, 1, 2, 1)]
+    for t, leg, width, warm_legs, warm_leg in cases:
+        alg = HopfOscillator(p)
+        leg_map = alg.coproduct_on_leg if width == 2 else alg.antipode_on_leg
+        leg_map(leg_moved(alg, t, leg, warm_legs, warm_leg), warm_leg)
+        formed = len(alg._leg_images)
+        got = leg_map(TensorElement(alg, t.legs, t.terms), leg)
+        # every image was formed at the other leg and leg count, and is reused
+        assert len(alg._leg_images) == formed
+        assert_same_terms(got, lifted_map_on_leg(alg, t, leg, width))
+
+
+def test_tensor_join_equals_the_embedded_product(generic_complex_params):
+    alg = HopfOscillator(generic_complex_params)
+    rng = random.Random(41)
+    for legs in (2, 2, 3, 3, 3):
+        factors = []
+        for _ in range(legs):
+            x = random_monomial(alg, rng, max_rs=2)
+            factors.append(x + random_monomial(alg, rng, max_rs=2) * x)
+        assert_same_terms(alg.tensor_join(*factors), embedded_join(alg, *factors))
+
+
 def test_coproduct_power_caches_are_per_instance(generic_params, prop1_params):
     w = coproduct_weights(generic_params)
     tampered = CoproductWeights(w.raise_right * 2.0, w.raise_left, w.lower_right * 2.0,
@@ -374,22 +419,29 @@ def test_caches_leave_no_reference_cycle(prop1_params):
 
 def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     # each product of two unit leg monomials, each image of a leg monomial
-    # and each antipode power is formed once per instance: 508 products on
-    # the first run (1216 when they were formed afresh per use), and the
-    # second run forms only those that no cache holds
-    calls = []
-    product = HopfOscillator.product
+    # (whatever leg it is used at) and each antipode power is formed once per
+    # instance: 492 products on the first run (1216 when they were formed
+    # afresh per use), and the second run forms only those that no cache
+    # holds.  Images are spliced into place, so the only embeddings are the
+    # four weights of the coproduct generators, made on the first run.
+    calls = {"product": 0, "embed": 0, "substitute": 0}
 
-    def counted(self, x, y):
-        calls.append(1)
-        return product(self, x, y)
+    def counted(cls, name):
+        method = getattr(cls, name)
 
-    monkeypatch.setattr(HopfOscillator, "product", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(HopfOscillator, "product")
+    counted(ExpPoly, "embed")
+    counted(ExpPoly, "substitute")
     alg = HopfOscillator(prop1_params)
     alg.check_axioms()
-    assert len(calls) == 508
+    assert calls == {"product": 492, "embed": 4, "substitute": 305}
     alg.check_axioms()
-    assert len(calls) == 508 + 113
+    assert calls == {"product": 492 + 113, "embed": 4, "substitute": 305 + 110}
 
 
 # --------------------------------------------------------------------- counit
