@@ -289,8 +289,11 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
             rep.params["max_sector_capped_at"] = cap
         if dump_path:
             payload = r.to_payload(rep.params)
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1)
+            try:
+                with open(dump_path, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, indent=1)
+            except OSError as exc:
+                raise UsageError(f"cannot write dump {dump_path}: {exc}") from exc
     return rep
 
 

@@ -426,7 +426,7 @@ def _blocks_from_amplitude(amp, m_max):
     return SectorOperator(2, 0, blocks)
 
 
-def _third_leg_block(pair, m, pieces):
+def _third_leg_block(pair, m, pieces, scale=None):
     """Sector-m block of a 3-leg operator that acts on legs ``pair`` through
     2-leg blocks and moves the third leg from v to w.
 
@@ -435,12 +435,15 @@ def _third_leg_block(pair, m, pieces):
     the third leg's value v, ascending, and within a group in the order of
     ``sector_states(m - v, 2)`` on legs ``pair``, each piece is a contiguous
     sub-block; one permutation then puts the block in the order of
-    ``sector_states(m, 3)``.
+    ``sector_states(m, 3)``.  ``scale``, if given, holds one factor per value
+    w of the third leg, for the rows of that group.
     """
     start = list(itertools.accumulate(range(m + 1, 0, -1), initial=0))
     grouped = np.zeros((start[-1],) * 2, dtype=complex)
     for w, v, piece in pieces:
         grouped[start[w]:start[w + 1], start[v]:start[v + 1]] = piece
+    if scale is not None:
+        grouped *= np.repeat(scale, range(m + 1, 0, -1))[:, None]
     # sector_states(m, 3) lists |m - n23, n23 - n3, n3> for n23 = 0..m and
     # n3 = 0..n23; a state with third leg v and leg pair[1] at t is grouped at
     # start[v] + t
@@ -488,9 +491,8 @@ def compare_sector_operators(s1, s2):
 
 
 def _coproduct_splits(amp, d_a, d_adag, m_max):
-    """(coproduct (x) id) and (id (x) coproduct) of the R-matrix series on
-    3-leg sectors 0..m_max, prefactor excluded: yields the pair of blocks
-    (left, right) of each sector in turn.
+    """(coproduct (x) id) R and (id (x) coproduct) R on 3-leg sectors
+    0..m_max: yields the pair of blocks (left, right) of each sector in turn.
 
     Series term n is c_n (g_n(N) a^n) (x) (adag^n h_n(N)), with c_n =
     ``amp.series[n]``, g_n(N) = (XY)^{n(N+gamma) + n(n-1)/2} and
@@ -508,6 +510,10 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
       g_n(n1 - n), and coproduct(adag)^n coproduct(h_n(N)) maps the 2-leg
       sector s = n2 + t3 of legs 2, 3 to s + n; the XY powers sum to
       n(n1 - s - n - 1 - gamma).
+
+    The prefactor X^{-2(N+gamma)(x)(N+gamma)} scales the rows where the leg
+    outside the pair is w by exp(-kappa (m - w + 2 gamma)(w + gamma)) on the
+    left and exp(-kappa (w + gamma)(m - w + 2 gamma)) on the right.
 
     Each target entry takes exactly one term n, so blocks are placed, not
     summed.
@@ -530,25 +536,14 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
         left = _third_leg_block((0, 1), m, [
             (t3 + n, t3, amp.series[n] * cmath.exp(p.kappa1 * n * (m - 2 * t3 - n - 1 + p.gamma))
              * raise_amp[t3][n] * down[m - t3, n])
-            for t3 in range(m + 1) for n in range(m - t3 + 1)])
+            for t3 in range(m + 1) for n in range(m - t3 + 1)],
+            [cmath.exp(-p.kappa * (m - w + 2 * p.gamma) * (w + p.gamma)) for w in range(m + 1)])
         right = _third_leg_block((1, 2), m, [
             (n1 - n, n1, amp.series[n] * cmath.exp(p.kappa1 * n * (2 * n1 - m - n - 1 - p.gamma))
              * lower_amp[n1][n] * up[m - n1, n])
-            for n1 in range(m + 1) for n in range(n1 + 1)])
+            for n1 in range(m + 1) for n in range(n1 + 1)],
+            [cmath.exp(-p.kappa * (w + p.gamma) * (m - w + 2 * p.gamma)) for w in range(m + 1)])
         yield left, right
-
-
-def _split_prefactor_diag(params, states, mode):
-    """Diagonal of (coproduct (x) id) or (id (x) coproduct) applied to the
-    prefactor X^{-2(N+gamma)(x)(N+gamma)}, evaluated on 3-leg states."""
-    kappa, gamma = params.kappa, params.gamma
-    out = np.empty(len(states), dtype=complex)
-    for i, (t1, t2, t3) in enumerate(states):
-        if mode == "left":
-            out[i] = cmath.exp(-kappa * (t1 + t2 + 2 * gamma) * (t3 + gamma))
-        else:
-            out[i] = cmath.exp(-kappa * (t1 + gamma) * (t2 + t3 + 2 * gamma))
-    return out
 
 
 @dataclass
@@ -568,8 +563,8 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     (coproduct (x) id) R = R13 R23 and (id (x) coproduct) R = R13 R12 are
     evaluated term by term of the series (finite per sector), the coproduct
     of each term built from the represented coproduct(a) and coproduct(adag)
-    blocks (``_coproduct_splits``); the intertwiner probes use the same
-    blocks.  The intertwiner relation is checked inverse-free, as
+    blocks, prefactor included (``_coproduct_splits``); the intertwiner probes
+    use the same blocks.  The intertwiner relation is checked inverse-free, as
     R_{M+d} coproduct(h)_M = coproduct^op(h)_M R_M for h in {a, adag, N} of
     level shift d, so no sector cap or ill-conditioned R_M makes it fail a
     true identity.  coproduct^op(h)_M is the block of coproduct(h)_M with
@@ -589,12 +584,9 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
 
     splits = _coproduct_splits(amp, coproducts["a"], coproducts["adag"], m_max)
     for m, (lhs_left, lhs_right) in enumerate(splits):
-        states = sector_states(m, 3)
-        lhs_left *= _split_prefactor_diag(params, states, "left")[:, None]
         rhs = r13.blocks[m] @ r23.blocks[m]
         r = _rel_residual(lhs_left, rhs)
         rep.add(f"coproduct-split-left[M={m}]", r <= tol, r)
-        lhs_right *= _split_prefactor_diag(params, states, "right")[:, None]
         rhs = r13.blocks[m] @ r12.blocks[m]
         r = _rel_residual(lhs_right, rhs)
         rep.add(f"coproduct-split-right[M={m}]", r <= tol, r)

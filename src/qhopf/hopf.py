@@ -51,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 
 from .expalg import ExpPoly, antidifference, exponent
@@ -288,9 +289,8 @@ class _Element:
             return self._product(other)
         return self._new({k: f * other for k, f in self.terms.items()})
 
-    def __rmul__(self, other):
-        # scalars only; element products go through __mul__
-        return self._new({k: f * other for k, f in self.terms.items()})
+    # a scalar on the left: element products never get here
+    __rmul__ = __mul__
 
     def is_zero(self):
         return not self.terms
@@ -408,7 +408,6 @@ class HopfOscillator:
         # back at the algebra, and that reference cycle would leave each
         # instance for the cyclic garbage collector to free.
         self._ladder_sums = {}
-        self._structure = None
         self._powers = {}
         self._leg_products = {}
         self._leg_images = {}
@@ -438,11 +437,9 @@ class HopfOscillator:
         return AlgebraElement(self, {(int(r), int(s)):
                                      f if f is not None else ExpPoly.constant(1.0)})
 
-    @property
+    @cached_property
     def structure_poly(self):
-        if self._structure is None:
-            self._structure = antidifference(self.g)
-        return self._structure
+        return antidifference(self.g)
 
     def casimir(self):
         return self.from_function(self.structure_poly) - self.monomial(1, 1)
@@ -460,23 +457,9 @@ class HopfOscillator:
     def _times_raising(self, terms):
         out = {}
         for (r, s), f in terms.items():
-            if s == 0:
-                _acc(out, (r + 1, 0), f.shift(1))
-            else:
-                _acc(out, (r + 1, s), f.shift(1))
+            _acc(out, (r + 1, s), f.shift(1))
+            if s:
                 _acc(out, (r, s - 1), f * self._ladder_sum(s))
-        return out
-
-    def _times_lowering(self, terms):
-        out = {}
-        for (r, s), f in terms.items():
-            _acc(out, (r, s + 1), f)
-        return out
-
-    def _times_function(self, terms, g):
-        out = {}
-        for (r, s), f in terms.items():
-            _acc(out, (r, s), f * g.shift(s))
         return out
 
     def product(self, x, y):
@@ -487,11 +470,8 @@ class HopfOscillator:
             cur = x.terms
             for _ in range(r2):
                 cur = self._times_raising(cur)
-            cur = self._times_function(cur, g)
-            for _ in range(s2):
-                cur = self._times_lowering(cur)
-            for key, f in cur.items():
-                _acc(out, key, f)
+            for (r, s), f in cur.items():
+                _acc(out, (r, s + s2), f * g.shift(s))
         return AlgebraElement(self, out)
 
     def commutator(self, x, y):

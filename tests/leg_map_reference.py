@@ -1,14 +1,16 @@
-"""Leg maps built by embedding and multiplying: the references that the
-key-spliced ``HopfOscillator`` leg maps and ``tensor_join`` are compared
-against.
+"""Leg maps built by embedding and multiplying, and the product built pass by
+pass: the references that the key-spliced ``HopfOscillator`` leg maps,
+``tensor_join`` and the one-accumulation ``product`` are compared against.
 
 Here a leg factor reaches its place among the legs as a one-variable
 ``ExpPoly`` embedded into the wider arity and multiplied in, and the image
 of a leg monomial is formed afresh for every term, by substitution into
-its legs of the result."""
+its legs of the result.  The product moves x past each term of y one
+factor at a time, each factor a pass that builds its own term dict."""
 
 from qhopf import TensorElement
 from qhopf.expalg import ZERO, ExpPoly
+from qhopf.hopf import AlgebraElement
 
 
 def _acc(store, key, poly):
@@ -66,3 +68,29 @@ def leg_moved(alg, t, leg, legs, pos):
             nk[pos], npk[pos] = key[leg], pk[leg]
             _acc(out, tuple(nk), ExpPoly(legs, {tuple(npk): 1.0 + 0j}, canonical=True))
     return TensorElement(alg, legs, out)
+
+
+def folded_product(alg, x, y):
+    """x * y as x times adag, r2 times, then times g(N), then times a, s2
+    times, for each term adag^r2 g(N) a^s2 of y, each pass a new dict."""
+    def times_raising(terms):
+        out = {}
+        for (r, s), f in terms.items():
+            if s == 0:
+                _acc(out, (r + 1, 0), f.shift(1))
+            else:
+                _acc(out, (r + 1, s), f.shift(1))
+                _acc(out, (r, s - 1), f * alg._ladder_sum(s))
+        return out
+
+    out = {}
+    for (r2, s2), g in y.terms.items():
+        cur = x.terms
+        for _ in range(r2):
+            cur = times_raising(cur)
+        cur = {(r, s): f * g.shift(s) for (r, s), f in cur.items()}
+        for _ in range(s2):
+            cur = {(r, s + 1): f for (r, s), f in cur.items()}
+        for key, f in cur.items():
+            _acc(out, key, f)
+    return AlgebraElement(alg, out)

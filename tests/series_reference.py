@@ -1,9 +1,12 @@
-"""The R-matrix series as a symbolic tensor element: the reference that the
-block-built coproduct splits of ``check_quasitriangularity`` are compared
-against."""
+"""The R-matrix series as a symbolic tensor element and the split prefactor
+per 3-leg state: the references that the block-built coproduct splits of
+``check_quasitriangularity`` are compared against."""
 
 import cmath
 
+import numpy as np
+
+from qhopf import sector_states
 from qhopf.expalg import ExpPoly, exponent
 
 
@@ -28,3 +31,17 @@ def series_tensor_terms(algebra, amp, n_max):
         term = algebra.tensor_join(left, right)
         total = term if total is None else total + term
     return total
+
+
+def split_prefactor(params, m, side):
+    """Diagonal of (coproduct (x) id) (``side`` = 0) or (id (x) coproduct)
+    (``side`` = 1) applied to the prefactor X^{-2(N+gamma)(x)(N+gamma)},
+    evaluated on each state of the 3-leg sector m."""
+    kappa, gamma = params.kappa, params.gamma
+    if side == 0:
+        values = [cmath.exp(-kappa * (t1 + t2 + 2 * gamma) * (t3 + gamma))
+                  for t1, t2, t3 in sector_states(m, 3)]
+    else:
+        values = [cmath.exp(-kappa * (t1 + gamma) * (t2 + t3 + 2 * gamma))
+                  for t1, t2, t3 in sector_states(m, 3)]
+    return np.array(values, dtype=complex)

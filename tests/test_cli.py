@@ -116,6 +116,19 @@ def test_dump_is_the_judged_rmatrix(capsys, tmp_path, form):
     assert [c.residual for c in check_yang_baxter(dumped, m).checks] == judged
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_dump_is_a_usage_error(capsys, tmp_path, where):
+    # exit 1 means an identity was judged false: a dump that cannot be
+    # written is refused with exit 2, one error: line and no report
+    dump = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1",
+                         "--gamma1", "0.7", "--max-sector", "2", "--dump-blocks", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write dump {dump}: ")
+    assert err.count("\n") == 1
+
+
 GENERAL_ARGV = ["--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"]
 OH_SINGH_ARGV = ["--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0", "--oh-singh"]
 OH_SINGH = OhSinghParams(0.5, 1.2, 0.3, 0)

@@ -14,7 +14,7 @@ from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    proposition1_params, structure_function, structure_function_values)
 from qhopf.expalg import ExpPoly
 from qhopf.fock import _RMatrixAmplitude
-from leg_map_reference import embedded_join, leg_moved, lifted_map_on_leg
+from leg_map_reference import embedded_join, folded_product, leg_moved, lifted_map_on_leg
 from series_reference import series_tensor_terms
 
 
@@ -163,6 +163,20 @@ def test_product_associativity(generic_params):
     for _ in range(50):
         x, y, z = (random_monomial(alg, rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+@pytest.mark.parametrize("fixture", ["generic_complex_params", "prop1_params",
+                                     "degenerate_params", "gamma_zero_params"])
+def test_product_equals_the_folded_product(fixture, request):
+    # one accumulation over the raised terms of x against the pass-by-pass
+    # fold, bit for bit; G among the coefficients makes terms merge and cancel
+    alg = HopfOscillator(request.getfixturevalue(fixture))
+    rng = random.Random(47)
+    for _ in range(30):
+        x, y = (sum((random_monomial(alg, rng, max_rs=2) for _ in range(3)),
+                    alg.monomial(rng.randint(0, 2), rng.randint(0, 2), alg.g))
+                for _ in range(2))
+        assert_same_terms(x * y, folded_product(alg, x, y))
 
 
 def test_symbolic_vs_dense_products(prop1_params):

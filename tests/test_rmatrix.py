@@ -14,7 +14,7 @@ from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _coproduct_splits,
                         _embed_pair, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
 from qhopf.hopf import HopfOscillator, TensorElement
-from series_reference import series_tensor_terms
+from series_reference import series_tensor_terms, split_prefactor
 
 
 # ------------------------------------------------------------- block structure
@@ -154,7 +154,8 @@ SPLIT_PACKS = {"generic-real": build_params(0.5, 0.1, 0.7, 1.0),
 @pytest.mark.parametrize("pack", sorted(SPLIT_PACKS))
 def test_coproduct_splits_equal_symbolic_reference(pack):
     # the splits built from the coproduct(a) and coproduct(adag) blocks
-    # against the symbolic coproduct of the symbolic series, represented
+    # against the symbolic coproduct of the symbolic series, represented, with
+    # the split prefactor applied per target state
     p = SPLIT_PACKS[pack]
     m_max = 8
     alg = HopfOscillator(p)
@@ -167,7 +168,8 @@ def test_coproduct_splits_equal_symbolic_reference(pack):
     for leg in (0, 1):
         want = represent_tensor(alg.coproduct_on_leg(series, leg), p, m_max)
         for m in range(m_max + 1):
-            assert _rel_residual(got[m][leg], want.blocks[m]) <= 1e-13, (leg, m)
+            want_m = want.blocks[m] * split_prefactor(p, m, leg)[:, None]
+            assert _rel_residual(got[m][leg], want_m) <= 1e-13, (leg, m)
 
 
 def test_quasitriangularity_represents_three_coproducts(monkeypatch, generic_params):
