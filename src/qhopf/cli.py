@@ -52,10 +52,18 @@ def _to_complex(vals, key):
     value = vals.get(key)
     if value is None:
         return None
+    # a JSON true or false, alone or in an [re, im] pair, is a bool, which
+    # Python would take for the int 1 or 0
+    parts = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in parts):
+        raise UsageError(f"cannot parse complex value {value!r}")
     if isinstance(value, (int, float, complex)):
         z = complex(value)
     elif isinstance(value, (list, tuple)) and len(value) == 2:
-        z = complex(float(value[0]), float(value[1]))
+        try:
+            z = complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"cannot parse complex value {value!r}") from exc
     elif isinstance(value, str):
         text = value.replace(" ", "")
         if text.endswith("i"):

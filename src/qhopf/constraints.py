@@ -206,12 +206,18 @@ def reality_defect(h):
     returns b(N) c - a(N) d where a = sinh(A) cos(B), b = cosh(A) sin(B) and
     c, d are the corresponding constants of the denominator; G is a real
     function of N iff the result vanishes identically.  Raises ValueError on
-    the degenerate inputs with c = d = 0, which must be discarded.
+    the degenerate inputs with c = d = 0, which must be discarded, and
+    OverflowError when A(0) or B(0) is not finite.
     """
     xi, eta, g1, g2 = h.xi, h.eta, h.gamma1, h.gamma2
     # A(N) = xi N + a0, B(N) = eta N + b0; the denominator constants are A(0), B(0)
     a0 = xi * g1 - eta * g2
     b0 = xi * g2 + eta * g1
+    # refused by name: math.cos and math.sin of inf raise a bare ValueError
+    for name, z in (("A(0) = xi*gamma1 - eta*gamma2", a0),
+                    ("B(0) = xi*gamma2 + eta*gamma1", b0)):
+        if not math.isfinite(z):
+            raise OverflowError(f"{name} = {z} exceeds double precision")
     c = math.sinh(a0) * math.cos(b0)
     d = math.cosh(a0) * math.sin(b0)
     if abs(c) < _TINY * math.cosh(a0) and abs(d) < _TINY * math.cosh(a0):

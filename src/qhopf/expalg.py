@@ -23,11 +23,13 @@ generator of its own.  Products add the integer vectors, substitutions with
 integer coefficients scale them (any other coefficient makes a new
 generator) and ``conj`` conjugates the generators.  The complex value of an
 exponent is summed from its vector in one fixed order, so equal vectors give
-bitwise-equal values, and two terms merge exactly when their keys compare
-equal: the canonical form of a term depends neither on the other terms
-present nor on the order in which products were formed.  Keys made by the
-operations of this module are canonical already and the constructor keeps
-them as they are; only outside keys are validated and lifted.
+bitwise-equal values.  Keys hash and compare by that value, not by the
+vector: two terms whose exponents have equal values but different vectors
+merge under the key of whichever came first, and a later product can part
+the values again.  So the canonical form of a term can depend on the other
+terms present and on the order of products (ROADMAP item 2).  Keys made by
+the operations of this module are canonical already and the constructor
+keeps them as they are; only outside keys are validated and lifted.
 
 Coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
 while building an expression are pruned; the threshold only has to absorb
@@ -64,14 +66,6 @@ EXP_ARG_CAP = 50.0
 
 class EvaluationOverflow(ArithmeticError):
     """Raised when |mu * V| exceeds EXP_ARG_CAP while evaluating a term."""
-
-
-def capped_exp(arg):
-    """exp(arg), refusing |arg| > EXP_ARG_CAP with EvaluationOverflow."""
-    if abs(arg) > EXP_ARG_CAP:
-        raise EvaluationOverflow(
-            f"|mu*V| = {abs(arg):.4g} exceeds the exponent cap {EXP_ARG_CAP:g}")
-    return cmath.exp(arg)
 
 
 class Exponent(complex):
@@ -433,7 +427,11 @@ class ExpPoly:
         return ExpPoly(self.arity, raw, scale=self.scale, canonical=True)
 
     def evaluate(self, *point):
-        """Numeric value at a point (one complex argument per variable)."""
+        """Numeric value at a point (one complex argument per variable).
+
+        The one numeric evaluator of coefficient functions and the only code
+        that applies EXP_ARG_CAP: the first term with |mu * V| past the cap
+        raises EvaluationOverflow."""
         if len(point) == 1 and isinstance(point[0], (list, tuple)):
             point = tuple(point[0])
         if len(point) != self.arity:
@@ -443,7 +441,11 @@ class ExpPoly:
         for key, c in self.terms.items():
             val = c
             for (mu, k), v in zip(key, pts):
-                val *= capped_exp(mu * v)
+                arg = mu * v
+                if abs(arg) > EXP_ARG_CAP:
+                    raise EvaluationOverflow(
+                        f"|mu*V| = {abs(arg):.4g} exceeds the exponent cap {EXP_ARG_CAP:g}")
+                val *= cmath.exp(arg)
                 if k:
                     val *= v**k
             total += val

@@ -28,6 +28,9 @@ the intertwiner is checked as R coproduct(h) = coproduct^op(h) R, so an
 ill-conditioned block at a high sector cap does not fail a relation that
 holds.  coproduct^op(h) is coproduct(h) read in the leg-swapped basis: the
 swap |n1, n2> -> |n2, n1> reverses the basis of every 2-leg sector.
+
+Coefficient functions are evaluated by ``ExpPoly.evaluate`` alone, which
+owns the exponent cap; this module holds no evaluator or cap of its own.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .expalg import EXP_ARG_CAP, capped_exp
 from .hopf import HopfOscillator, structure_function_values
 from .report import CheckReport, jsonable
 
@@ -241,7 +243,10 @@ def represent_tensor(t, params, m_max):
     parameter pack ``params`` (only its structure values are needed).
 
     All terms must share one total level shift; the blocks are exact because
-    sectors are closed under the action.
+    sectors are closed under the action.  Each term is evaluated only on the
+    states it reaches, its coefficient by ``ExpPoly.evaluate`` at the levels
+    of the state: an exponent past the cap there raises EvaluationOverflow,
+    one at a level that no reachable state reads is never evaluated.
     """
     degrees = t.degrees()
     if len(degrees) > 1:
@@ -249,26 +254,10 @@ def represent_tensor(t, params, m_max):
     degree = degrees.pop() if degrees else 0
     legs = t.legs
 
-    # exp(mu*V) and V**k on every level 0..m_max, once per call; an exponent
-    # beyond EXP_ARG_CAP is left as None, and the first one evaluated raises
-    levels = [complex(n) for n in range(m_max + 1)]
-    exps, powers = {}, {}
     # per term: the a-powers (lows) and adag-powers (highs) of its legs, and
-    # its coefficient function as (c, per leg (mu, exp row, power row or None))
-    terms = []
-    for key, poly in t.terms.items():
-        factors = []
-        for pk, c in poly.terms.items():
-            per_leg = []
-            for mu, k in pk:
-                if mu not in exps:
-                    exps[mu] = [cmath.exp(mu * v) if abs(mu * v) <= EXP_ARG_CAP else None
-                                for v in levels]
-                if k and k not in powers:
-                    powers[k] = [v**k for v in levels]
-                per_leg.append((mu, exps[mu], powers[k] if k else None))
-            factors.append((c, per_leg))
-        terms.append((tuple(s for _, s in key), tuple(r for r, _ in key), factors))
+    # its coefficient function
+    terms = [(tuple(s for _, s in key), tuple(r for r, _ in key), poly)
+             for key, poly in t.terms.items()]
     max_r = max((max(highs) for _, highs, _ in terms), default=0)
     _, sqrt_f, _ = _structure_values(params, m_max + max_r + 1)
 
@@ -276,30 +265,19 @@ def represent_tensor(t, params, m_max):
 
     # Term by term, only the states a term reaches: st = lows + mids with mids
     # in the sector of level m - sum(lows).  Each entry still takes its
-    # contributions in term order, and each coefficient is multiplied up as
-    # ExpPoly.evaluate does.
+    # contributions in term order.
     states_at = [sector_states(n, legs) for n in range(m_max + 1)]
     blocks = {}
     for m in range(m_max + 1):
         source = {st: j for j, st in enumerate(states_at[m])}
         target = {st: i for i, st in enumerate(sector_states(m + degree, legs))}
         block = np.zeros((len(target), len(source)), dtype=complex)
-        for lows, highs, factors in terms:
+        for lows, highs, poly in terms:
             rest = m - sum(lows)
             if rest < 0:
                 continue
             for mids in states_at[rest]:
-                amp = 0j
-                for c, per_leg in factors:
-                    val = c
-                    for (mu, exp_row, pow_row), v in zip(per_leg, mids):
-                        e = exp_row[v]
-                        if e is None:
-                            capped_exp(mu * levels[v])  # raises EvaluationOverflow
-                        val *= e
-                        if pow_row is not None:
-                            val *= pow_row[v]
-                    amp += val
+                amp = poly.evaluate(*mids)
                 if amp == 0:
                     continue
                 st = tuple(map(operator.add, lows, mids))
@@ -519,9 +497,10 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     summed.
     """
     p = amp.params
-    # F up to level 2 m_max + 1, the range represent_tensor evaluates for raise
-    # powers up to m_max: a pack whose G passes the exponent cap there is
-    # refused (exit 2) rather than judged
+    # F up to level 2 m_max + 1, though no block reads past level m_max + 2:
+    # the wide range keeps refused (exit 2) a pack whose G passes the exponent
+    # cap only there and whose split prefactor underflows, until the splits
+    # take that prefactor in scaled form (ROADMAP item 3)
     _, sqrt_f, _ = _structure_values(p, 2 * m_max + 1)
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, m_max)
     # coproduct(a)^n: 2-leg sector s -> s - n; coproduct(adag)^n: s -> s + n

@@ -378,6 +378,19 @@ def test_config_integers_are_not_truncated(capsys, tmp_path, key, value, argv):
     assert run(capsys, *argv, "--config", str(cfg))[0] == 0
 
 
+@pytest.mark.parametrize("value", [True, False, [0.5, True], [False, 0.5], [0.5, None],
+                                   [0.5, [1]], [0.5, "x"]])
+def test_config_complex_values_must_be_numbers(capsys, tmp_path, value):
+    # JSON true is a Python bool, an int subclass: it must not run as kappa1 = 1;
+    # a null or a list in an [re, im] pair must not end in a traceback
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"kappa1": value, "kappa2": 0.1, "gamma1": 0.7}))
+    code, out, err = run(capsys, "verify-hopf", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse complex value {value!r}\n"
+
+
 def test_default_sector_cap_is_eight(monkeypatch):
     from qhopf.cli import _sector_limit
     monkeypatch.delenv("QHOPF_MAX_SECTOR", raising=False)
@@ -551,6 +564,14 @@ def test_non_finite_parameters_exit_two(argv, flag, value):
 
 _KAPPA_GAMMA_OVERFLOW = ("verify-rmatrix", "--kappa1=1e308", "--kappa2=710i", "--g0=1.2",
                          "--gamma1=-1e308", "--gamma2=1.2", "--max-sector=3")
+_A0_OVERFLOW = ("classify", "--xi", "1e308", "--eta", "1e308", "--gamma1", "1e308",
+                "--gamma2", "1")
+_B0_OVERFLOW = ("classify", "--xi", "0", "--eta", "1e308", "--gamma1", "1e308",
+                "--gamma2", "0")
+# the quantity that each refusal names, not a bare "math domain error"
+_OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
+                       _A0_OVERFLOW: "A(0) = xi*gamma1 - eta*gamma2 = ",
+                       _B0_OVERFLOW: "B(0) = xi*gamma2 + eta*gamma1 = "}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -580,8 +601,11 @@ _KAPPA_GAMMA_OVERFLOW = ("verify-rmatrix", "--kappa1=1e308", "--kappa2=710i", "-
     # G(n) and F(n) overflow in plain complex arithmetic, which does not raise
     (("tabulate", "--kappa1=1e-9", "--kappa2=-0.7", "--g0=1e308", "--gamma1=-1e-300",
       "--k=-100", "--n-max=28"), {}),
-    # a finite pack whose kappa*gamma is not finite
+    # a finite pack whose kappa*gamma is not finite, and finite Hermiticity
+    # inputs whose A(0) or B(0) is not
     (_KAPPA_GAMMA_OVERFLOW, {}),
+    (_A0_OVERFLOW, {}),
+    (_B0_OVERFLOW, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a
@@ -593,10 +617,9 @@ def test_extreme_packs_exit_two_without_traceback(argv, env):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    if argv == _KAPPA_GAMMA_OVERFLOW:
-        # refused as out of range, not as cmath's bare "math domain error"
-        assert proc.stderr.startswith("error: parameters out of floating-point range "
-                                      "(kappa*gamma = ")
+    if argv in _OUT_OF_RANGE_NAMES:
+        assert proc.stderr.startswith("error: parameters out of floating-point range ("
+                                      + _OUT_OF_RANGE_NAMES[argv])
 
 
 def test_oh_singh_pack_out_of_range_names_its_own_quantity(capsys):

@@ -275,3 +275,14 @@ def test_represent_tensor_reports_the_first_overflow(generic_params):
                        match=r"^\|mu\*V\| = 55 exceeds the exponent cap 50$"):
         represent_tensor(t, generic_params, 10)
     assert represent_tensor(t, generic_params, 9).sectors() == list(range(10))
+
+
+def test_represent_tensor_ignores_an_overflow_no_state_reaches(generic_params):
+    # e^{5.5 N} a^2 (x) 1 passes the cap from level 10 of the first leg on,
+    # but on sectors 0..10 its coefficient is read only at the levels 0..8
+    # that a^2 leaves: no reachable state evaluates the overflow
+    alg = HopfOscillator(generic_params)
+    t = alg.tensor_join(alg.monomial(0, 2, ExpPoly.exponential(5.5)), alg.one())
+    with pytest.raises(EvaluationOverflow):
+        t.terms[((0, 2), (0, 0))].evaluate(10, 0)
+    assert represent_tensor(t, generic_params, 10).sectors() == list(range(11))
