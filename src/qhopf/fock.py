@@ -23,11 +23,16 @@ Yang-Baxter check on the R that the quasitriangularity check built and
 returned embeds nothing again.  The coproduct splits
 (coproduct (x) id) R and (id (x) coproduct) R are built term by term of the
 series from the represented coproduct(a) and coproduct(adag) blocks, since
-the coproduct is an algebra map on the module.  None of them inverts R:
-the intertwiner is checked as R coproduct(h) = coproduct^op(h) R, so an
-ill-conditioned block at a high sector cap does not fail a relation that
-holds.  coproduct^op(h) is coproduct(h) read in the leg-swapped basis: the
-swap |n1, n2> -> |n2, n1> reverses the basis of every 2-leg sector.
+the coproduct is an algebra map on the module.  Each 3-leg block, an
+embedding or a split, is one gather from a flat vector (the 2-leg blocks,
+or the split terms scaled with the scalar operand first), by an index plan
+that depends only on the leg pair and the sector and is kept for the
+process: the blocks are bit for bit those of placing the pieces one by
+one.  No check inverts R: the intertwiner is checked as
+R coproduct(h) = coproduct^op(h) R, so an ill-conditioned block at a high
+sector cap does not fail a relation that holds.  coproduct^op(h) is
+coproduct(h) read in the leg-swapped basis: the swap |n1, n2> -> |n2, n1>
+reverses the basis of every 2-leg sector.
 
 Coefficient functions are evaluated by ``ExpPoly.evaluate`` alone, which
 owns the exponent cap; this module holds no evaluator or cap of its own.
@@ -36,7 +41,6 @@ owns the exponent cap; this module holds no evaluator or cap of its own.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -150,6 +154,14 @@ class FockWindow:
         return mat
 
 
+def _frobenius(x):
+    """``np.linalg.norm(x)`` of a complex array by the same arithmetic, bit
+    for bit: sqrt(re.re + im.im) over the entries in memory order."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _rel_residual(a, b):
     """Relative Frobenius distance ||a - b|| / max(||a||, ||b||).
 
@@ -158,7 +170,7 @@ def _rel_residual(a, b):
     again; it is inf only when an entry itself is not finite.
     """
     with np.errstate(over="ignore"):
-        norms = (np.linalg.norm(a), np.linalg.norm(b), np.linalg.norm(a - b))
+        norms = (_frobenius(a), _frobenius(b), _frobenius(a - b))
     if all(map(math.isfinite, norms)):
         return float(norms[2] / max(norms[0], norms[1], 1e-300))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -213,9 +225,20 @@ class SectorOperator:
     def embeddings(self):
         """(R12, R13, R23): the 3-leg embeddings of this 2-leg degree-0
         operator on every sector it has, built on first use and kept with it,
-        so the checks that read one R embed it once."""
+        so the checks that read one R embed it once.  An operator that is not
+        2-leg and degree 0, or lacks a (s+1) x (s+1) block on a sector s
+        below its top one, raises ValueError."""
+        if (self.legs, self.degree) != (2, 0):
+            raise ValueError(f"only a 2-leg degree-0 operator embeds into 3 legs, not a "
+                             f"{self.legs}-leg degree-{self.degree} one")
         top = max(self.blocks, default=-1)
-        return tuple(_embed_pair(self, pair, top) for pair in ((0, 1), (0, 2), (1, 2)))
+        for s in range(top + 1):
+            if s not in self.blocks:
+                raise ValueError(f"cannot embed: no block for sector {s} below sector {top}")
+            if np.shape(self.blocks[s]) != (s + 1, s + 1):
+                raise ValueError(f"cannot embed: the sector {s} block has shape "
+                                 f"{np.shape(self.blocks[s])}, not {(s + 1, s + 1)}")
+        return tuple(_embed_pair(self, pair, top) for pair in _PAIRS)
 
     def to_payload(self, params=None):
         """JSON-ready dump: {params, legs, degree, sectors:[{M, rows, cols,
@@ -404,43 +427,161 @@ def _blocks_from_amplitude(amp, m_max):
     return SectorOperator(2, 0, blocks)
 
 
-def _third_leg_block(pair, m, pieces, scale=None):
-    """Sector-m block of a 3-leg operator that acts on legs ``pair`` through
-    2-leg blocks and moves the third leg from v to w.
+# the leg pairs of the embeddings R12, R13 and R23
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-    ``pieces`` holds (w, v, piece), where ``piece`` maps the 2-leg sector
-    m - v of legs ``pair`` to the sector m - w.  With the states grouped by
-    the third leg's value v, ascending, and within a group in the order of
-    ``sector_states(m - v, 2)`` on legs ``pair``, each piece is a contiguous
-    sub-block; one permutation then puts the block in the order of
-    ``sector_states(m, 3)``.  ``scale``, if given, holds one factor per value
-    w of the third leg, for the rows of that group.
+
+def _frozen(index):
+    """A kept plan is shared by every caller: read-only."""
+    index.flags.writeable = False
+    return index
+
+
+# the gather plans of sectors 0..len(_PLANS) - 1, kept for the process and
+# built again from a larger top sector when a run asks for more sectors
+_PLANS = ()
+
+
+def _plans(m_max):
+    """The gather plans of sectors 0..m_max (see ``_build_plans``)."""
+    global _PLANS
+    plans = _PLANS
+    if m_max >= len(plans):
+        _PLANS = plans = _build_plans(m_max)
+    return plans[:m_max + 1]
+
+
+def _build_plans(m_max):
+    """Gather plans of the 3-leg blocks on sectors 0..m_max: per sector m,
+    the plans of the embeddings on legs (0, 1), (0, 2) and (1, 2)
+    (``_embed_pair``) and of the coproduct splits on legs (0, 1) and (1, 2)
+    (``_split_block``).
+
+    The plans of a sector do not depend on m_max: each is built from one
+    plan of sector m_max in the basis that lists each state as
+    |w, n_i, n_j> for a leg pair (i, j) with the leg outside it at w, the
+    basis of ``sector_states`` itself for the pair (1, 2).  There the legs
+    of the pair span the 2-leg sector s = m - w at entry t = n_j, and the
+    states of sector m are the first ones of sector m_max with w raised by
+    m_max - m, which leaves every index the same.  So the plan of sector m
+    is the leading block of the one of sector m_max, in the order of
+    ``sector_states(m, 3)`` for the pair (1, 2) and reordered into it for
+    the others.
+
+    * Embedding, from the flat vector (0, R_0, R_1, ..) of the 2-leg blocks
+      in row-major order: entry (i, j) reads R_s[t_i, t_j] when both states
+      have the same w, and the 0 otherwise.
+    * Split: a piece (s, n) maps the 2-leg sector s = m - v of the pair to
+      s - n (left, the block of coproduct(a)^n) or s + n (right,
+      coproduct(adag)^n), while the leg outside goes from v to w = v + n or
+      v - n.  Ordered by s, then n (left), or by s + n, then s (right), the
+      pieces of sector m come first in every larger sector; that order,
+      row-major within each piece, is the order of the raw vector, and the
+      gathered vector is the scaled raw vector followed by the zero of each
+      w.  Entry (i, j) reads its piece, or the zero of w_i, which sits at
+      w_i - m - 1 from the end.  A split plan is (order, w, sizes, n,
+      plan): the series position of each piece in raw order (the series
+      takes s descending, then n ascending), its w and size, and the length
+      of the raw vector.
     """
-    start = list(itertools.accumulate(range(m + 1, 0, -1), initial=0))
-    grouped = np.zeros((start[-1],) * 2, dtype=complex)
-    for w, v, piece in pieces:
-        grouped[start[w]:start[w + 1], start[v]:start[v + 1]] = piece
-    if scale is not None:
-        grouped *= np.repeat(scale, range(m + 1, 0, -1))[:, None]
-    # sector_states(m, 3) lists |m - n23, n23 - n3, n3> for n23 = 0..m and
-    # n3 = 0..n23; a state with third leg v and leg pair[1] at t is grouped at
-    # start[v] + t
-    n23, n3 = np.nonzero(np.tri(m + 1, dtype=bool))
-    legs = (m - n23, n23 - n3, n3)
-    where = np.array(start)[legs[3 - sum(pair)]] + legs[pair[1]]
-    # the column gather writes into ``grouped``: one full-size temporary fewer
-    return grouped.take(where, axis=0).take(where, axis=1, out=grouped, mode="clip")
+    top = m_max
+    # tri[k] = 0 + 1 + .. + k: sector k - 1 has tri[k] states
+    tri = np.cumsum(np.arange(top + 2))
+    d_top = int(tri[top + 1])
+    # the states |top - n23, n23 - n3, n3> of sector_states(top, 3), read as
+    # |w, n_i, n_j>: w = top - n23, s = n23 and t = n3
+    n23 = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+    n3 = np.arange(d_top) - tri.take(n23)
+    w, t = top - n23, n3
+    # the pieces (v, w, size) of each plan in the order of its flat vector,
+    # the index of the first and what the entries outside every piece read:
+    # R_s at v = w = top - s after the 0; the split pieces (s, n), the zeros
+    # counted back from the end
+    s = np.arange(top + 1)
+    layouts = [(top - s, top - s, (s + 1) ** 2, 1, 0)]
+    for s, n, sign in ((n23, n3, 1), (n3, n23 - n3, -1)):
+        v = top - s
+        piece_w = v + sign * n
+        layouts.append((v, _frozen(piece_w), _frozen((top + 1 - piece_w) * (s + 1)), 0,
+                        (w - top - 1)[:, None]))
+    # the (w_i, w_j) cell of each entry, and per cell whether a piece sits
+    # there and the index of its first entry
+    cells = w[:, None] * (top + 1) + w
+    gens, ends = [], []
+    for v, piece_w, sizes, first, outside in layouts:
+        ends.append(first + np.cumsum(sizes))
+        start = np.zeros((top + 1) ** 2, dtype=int)
+        inside = np.zeros((top + 1) ** 2, dtype=bool)
+        start[piece_w * (top + 1) + v] = ends[-1] - sizes
+        inside[piece_w * (top + 1) + v] = True
+        gens.append(np.where(inside.take(cells),
+                             start.take(cells) + t[:, None] * (top + 1 - w) + t, outside))
+    # kept in the smallest signed dtype that holds every index
+    dtype = np.min_scalar_type(-max(int(end[-1]) for end in ends))
+    embed, left, right = (_frozen(gen.astype(dtype)) for gen in gens)
+    plans = []
+    for m in range(top + 1):
+        d = int(tri[m + 1])
+        s23, s3 = n23[:d], n3[:d]
+        s2 = s23 - s3
+        # where |n3, n1, n2> and |n2, n1, n3> sit in sector m: the states in
+        # the basis of the pairs (0, 1) and (0, 2)
+        at01, at02 = ((r * d_top)[:, None] + r
+                      for r in (tri.take(m - s3) + s2, tri.take(m - s2) + s3))
+        # the series position of each piece: (s, n) is (s23, s3) on the left
+        # and (s3, s2) on the right
+        orders = (tri[m + 1] - tri.take(s23 + 1) + s3, tri.take(m - s3) + s2)
+        splits = (
+            (_frozen(order), _frozen(piece_w[:d] - (top - m)), sizes[:d], int(end[d - 1]), plan)
+            for order, (_, piece_w, sizes, *_), end, plan in zip(
+                orders, layouts[1:], ends[1:], (_frozen(left.take(at01)), right[:d, :d])))
+        plans.append((_frozen(embed.take(at01)), _frozen(embed.take(at02)), embed[:d, :d],
+                      *splits))
+    return tuple(plans)
 
 
 def _embed_pair(r2, pair, m_max):
     """3-leg embedding of a 2-leg degree-0 operator acting on legs ``pair``.
 
     Legs (i, j) of a 3-leg state span the 2-leg sector n_i + n_j, so each
-    3-leg entry is the one entry of the 2-leg block ``r2`` it equals.
+    3-leg entry is the one entry of the 2-leg block ``r2`` it equals, or 0.
     """
-    return SectorOperator(3, 0, {
-        m: _third_leg_block(pair, m, [(v, v, r2.blocks[m - v]) for v in range(m + 1)])
-        for m in range(m_max + 1)})
+    flat = np.concatenate([np.zeros(1, dtype=complex),
+                           *(r2.blocks[s] for s in range(m_max + 1))], axis=None)
+    k = _PAIRS.index(pair)
+    return SectorOperator(3, 0, {m: flat.take(plans[k])
+                                 for m, plans in enumerate(_plans(m_max))})
+
+
+def _split_block(split_plan, m, raw, coeffs, scale):
+    """Sector-m block of a coproduct split with the plan ``split_plan`` (see
+    ``_plans``) from the raw vector of its pieces, the scalar of each piece
+    in series order (``coeffs``) and the prefactor of each value w of the
+    leg outside the pair (``scale``).
+
+    Each piece is multiplied by its scalar with the scalar operand first and
+    then row by row by its prefactor: the operations, and the operand order,
+    that give the bits of the pieces scaled and placed one by one.  Both
+    iterables are read lazily.  When a scalar or a product raises, the
+    pieces are multiplied again one at a time in series order, so that the
+    error is the one of the first piece that raises, in its scalar or in its
+    product, as when each piece is scaled on its own.
+    """
+    order, w, sizes, n, plan = split_plan
+    out = np.zeros(n + m + 1, dtype=complex)
+    sc = []
+    try:
+        sc.extend(coeffs)
+        np.multiply(np.repeat(np.array(sc).take(order), sizes), raw[:n], out=out[:n])
+    except (ArithmeticError, ValueError):
+        ends = np.cumsum(sizes)
+        for c, k in zip(sc, np.argsort(order)):
+            c * raw[ends[k] - sizes[k]:ends[k]]
+        raise
+    scale = np.array(list(scale))
+    out[:n] *= np.repeat(scale.take(w), sizes)
+    out[n:] *= scale
+    return out.take(plan)
 
 
 def build_rmatrix(params, m_max, lambda_sq=None):
@@ -460,11 +601,17 @@ def build_rmatrix_oh_singh(o, m_max):
 
 
 def compare_sector_operators(s1, s2):
-    """Per-sector and overall relative Frobenius distance of two operators."""
+    """Per-sector and overall relative Frobenius distance of two operators
+    on the same sectors with blocks of the same shapes (else ValueError)."""
     if s1.legs != s2.legs or s1.degree != s2.degree:
         raise ValueError("operator shapes differ")
-    per_sector = {m: _rel_residual(s1.blocks[m], s2.blocks[m])
-                  for m in sorted(set(s1.blocks) & set(s2.blocks))}
+    if set(s1.blocks) != set(s2.blocks):
+        raise ValueError(f"sector sets differ: {s1.sectors()} and {s2.sectors()}")
+    for m in s1.sectors():
+        if np.shape(s1.blocks[m]) != np.shape(s2.blocks[m]):
+            raise ValueError(f"sector {m} blocks differ in shape: "
+                             f"{np.shape(s1.blocks[m])} and {np.shape(s2.blocks[m])}")
+    per_sector = {m: _rel_residual(s1.blocks[m], s2.blocks[m]) for m in s1.sectors()}
     return max(per_sector.values(), default=0.0), per_sector
 
 
@@ -494,7 +641,11 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     left and exp(-kappa (w + gamma)(m - w + 2 gamma)) on the right.
 
     Each target entry takes exactly one term n, so blocks are placed, not
-    summed.
+    summed: each sector's pair of blocks is gathered (``_split_block``) from
+    the coproduct(a)^n or coproduct(adag)^n blocks of every term, each
+    multiplied by its scalar c_n (XY)^(...) sqrt(F..) with the scalar
+    operand first, as in ``c * piece``, and then by the prefactor of its
+    rows.  The gather plans are kept for the process (``_plans``).
     """
     p = amp.params
     # F up to level 2 m_max + 1, though no block reads past level m_max + 2:
@@ -503,25 +654,30 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     # take that prefactor in scaled form (ROADMAP item 3)
     _, sqrt_f, _ = _structure_values(p, 2 * m_max + 1)
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, m_max)
-    # coproduct(a)^n: 2-leg sector s -> s - n; coproduct(adag)^n: s -> s + n
-    down, up = {}, {}
+    # the raw vectors of the split plans, every sector reading a prefix:
+    # coproduct(a)^n, mapping 2-leg sector s to s - n, by s, then n; and
+    # coproduct(adag)^n, mapping s to s + n, by s + n, then s
+    downs, ups, up = [], [], []
     for s in range(m_max + 1):
-        down[s, 0] = up[s, 0] = np.eye(s + 1, dtype=complex)
+        downs.append(np.eye(s + 1, dtype=complex))
         for n in range(1, s + 1):
-            down[s, n] = d_a.blocks[s - n + 1] @ down[s, n - 1]
-        for n in range(1, m_max - s + 1):
-            up[s, n] = d_adag.blocks[s + n - 1] @ up[s, n - 1]
-    for m in range(m_max + 1):
-        left = _third_leg_block((0, 1), m, [
-            (t3 + n, t3, amp.series[n] * cmath.exp(p.kappa1 * n * (m - 2 * t3 - n - 1 + p.gamma))
-             * raise_amp[t3][n] * down[m - t3, n])
-            for t3 in range(m + 1) for n in range(m - t3 + 1)],
-            [cmath.exp(-p.kappa * (m - w + 2 * p.gamma) * (w + p.gamma)) for w in range(m + 1)])
-        right = _third_leg_block((1, 2), m, [
-            (n1 - n, n1, amp.series[n] * cmath.exp(p.kappa1 * n * (2 * n1 - m - n - 1 - p.gamma))
-             * lower_amp[n1][n] * up[m - n1, n])
-            for n1 in range(m + 1) for n in range(n1 + 1)],
-            [cmath.exp(-p.kappa * (w + p.gamma) * (m - w + 2 * p.gamma)) for w in range(m + 1)])
+            downs.append(d_a.blocks[s - n + 1] @ downs[-1])
+    for k in range(m_max + 1):
+        # up[s] = coproduct(adag)^(k - s) on sector s
+        up = [d_adag.blocks[k - 1] @ piece for piece in up] + [np.eye(k + 1, dtype=complex)]
+        ups += up
+    downs = np.concatenate(downs, axis=None)
+    ups = np.concatenate(ups, axis=None)
+    series, kappa, kappa1, gamma = amp.series, p.kappa, p.kappa1, p.gamma
+    for m, (*_, left_plan, right_plan) in enumerate(_plans(m_max)):
+        left = _split_block(left_plan, m, downs, (
+            series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma)) * raise_amp[t3][n]
+            for t3 in range(m + 1) for n in range(m - t3 + 1)),
+            (cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)))
+        right = _split_block(right_plan, m, ups, (
+            series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma)) * lower_amp[n1][n]
+            for n1 in range(m + 1) for n in range(n1 + 1)),
+            (cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)))
         yield left, right
 
 
@@ -585,9 +741,12 @@ def check_yang_baxter(r, m_max, tol=1e-8):
     embeddings of the 2-leg R blocks ``r`` (from ``build_rmatrix``,
     ``build_rmatrix_oh_singh`` or the ``rmatrix`` of a
     ``check_quasitriangularity`` report, whose embeddings are already built
-    and are not built again)."""
+    and are not built again).  R needs blocks on sectors 0..m_max."""
     rep = CheckReport()
     r12, r13, r23 = r.embeddings
+    if m_max >= len(r12.blocks):
+        raise ValueError(f"R has no block for sector {len(r12.blocks)}; Yang-Baxter "
+                         f"up to sector {m_max} needs sectors 0..{m_max}")
     for m in range(m_max + 1):
         lhs = r12.blocks[m] @ r13.blocks[m] @ r23.blocks[m]
         rhs = r23.blocks[m] @ r13.blocks[m] @ r12.blocks[m]

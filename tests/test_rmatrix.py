@@ -107,6 +107,23 @@ def test_payload_round_trip(generic_params):
     assert worst == 0
 
 
+def test_compare_refuses_different_sector_sets(generic_params):
+    # a comparison over no common sector is not a perfect match
+    r = build_rmatrix(generic_params, 2)
+    with pytest.raises(ValueError, match=r"sector sets differ: \[0, 1, 2\] and \[\]"):
+        compare_sector_operators(r, SectorOperator(2, 0, {}))
+    with pytest.raises(ValueError, match="sector sets differ"):
+        compare_sector_operators(r, build_rmatrix(generic_params, 3))
+
+
+def test_compare_refuses_different_block_shapes(generic_params):
+    r = build_rmatrix(generic_params, 2)
+    other = SectorOperator(2, 0, {**r.blocks, 1: np.zeros((3, 3), dtype=complex)})
+    with pytest.raises(ValueError,
+                       match=r"sector 1 blocks differ in shape: \(2, 2\) and \(3, 3\)"):
+        compare_sector_operators(r, other)
+
+
 # ----------------------------------------------------------- quasitriangularity
 def test_quasitriangularity_generic(generic_params):
     rep = check_quasitriangularity(generic_params, 6)
@@ -207,6 +224,29 @@ def test_yang_baxter_generic(generic_params):
     rep = check_yang_baxter(build_rmatrix(generic_params, 6), 6)
     assert rep.passed
     assert rep.max_residual() < 1e-8
+
+
+def test_yang_baxter_refuses_a_sector_cap_past_r(generic_params):
+    with pytest.raises(ValueError, match=r"R has no block for sector 4; Yang-Baxter up to "
+                                         r"sector 5 needs sectors 0\.\.5"):
+        check_yang_baxter(build_rmatrix(generic_params, 3), 5)
+
+
+@pytest.mark.parametrize("operator, message", [
+    (SectorOperator(3, 0, {0: np.eye(1), 1: np.eye(3)}),
+     "only a 2-leg degree-0 operator embeds into 3 legs, not a 3-leg degree-0 one"),
+    (SectorOperator(2, 1, {0: np.ones((2, 1)), 1: np.ones((3, 2))}),
+     "only a 2-leg degree-0 operator embeds into 3 legs, not a 2-leg degree-1 one"),
+    (SectorOperator(2, 0, {0: np.eye(1), 2: np.eye(3)}),
+     "cannot embed: no block for sector 1 below sector 2"),
+    (SectorOperator(2, 0, {0: np.eye(1), 1: np.eye(3)}),
+     r"cannot embed: the sector 1 block has shape \(3, 3\), not \(2, 2\)"),
+], ids=["three-legs", "degree-one", "missing-sector", "wrong-shape"])
+def test_embeddings_refuse_what_they_cannot_embed(operator, message):
+    with pytest.raises(ValueError, match=message):
+        operator.embeddings
+    with pytest.raises(ValueError, match=message):
+        check_yang_baxter(operator, 0)
 
 
 def test_yang_baxter_vacuum_scalar(generic_params):
