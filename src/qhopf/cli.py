@@ -99,14 +99,17 @@ def _to_int(vals, key):
     raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
 
 
-def _int_flag(vals, key, default):
-    """An integer flag or config key; 0 is a valid value, negatives are not."""
+def _int_flag(vals, key, default, top=None):
+    """An integer flag or config key; 0 is a valid value, negatives are not,
+    and neither are values above ``top`` when it is given."""
     value = _to_int(vals, key)
     if value is None:
         return default
+    flag = "--" + key.replace("_", "-")
     if value < 0:
-        flag = "--" + key.replace("_", "-")
         raise UsageError(f"{flag} must be non-negative, got {value}")
+    if top is not None and value > top:
+        raise UsageError(f"{flag} must lie in 0..{top}")
     return value
 
 
@@ -241,9 +244,7 @@ def _cmd_classify(vals):
 
 
 def _cmd_verify_hopf(vals):
-    max_order = _int_flag(vals, "max_order", 6)
-    if max_order > 12:
-        raise UsageError("--max-order must lie in 0..12")
+    max_order = _int_flag(vals, "max_order", 6, top=12)
     params = _resolve_params(vals)
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
@@ -306,7 +307,8 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
 
 
 def _cmd_tabulate(vals, out):
-    n_max = _int_flag(vals, "n_max", 10)
+    # where no exponent reaches the cap, nothing else bounds the row count
+    n_max = _int_flag(vals, "n_max", 10, top=10_000)
     params = _resolve_params(vals)
     cols = ([("g", g_function(params)), ("f", structure_function(params))]
             + coproduct_weights(params).named())

@@ -21,15 +21,14 @@ kappa2; any other complex exponent handed to the constructor (a test
 fixture's 0.3, the xi and i*eta of the Hermiticity checks) becomes a
 generator of its own.  Products add the integer vectors, substitutions with
 integer coefficients scale them (any other coefficient makes a new
-generator) and ``conj`` conjugates the generators.  The complex value of an
-exponent is summed from its vector in one fixed order, so equal vectors give
-bitwise-equal values.  Keys hash and compare by that value, not by the
-vector: two terms whose exponents have equal values but different vectors
-merge under the key of whichever came first, and a later product can part
-the values again.  So the canonical form of a term can depend on the other
-terms present and on the order of products (ROADMAP item 2).  Keys made by
-the operations of this module are canonical already and the constructor
-keeps them as they are; only outside keys are validated and lifted.
+generator) and ``conj`` conjugates the generators.  Exponents are formal:
+two are equal iff their generator vectors are, so exp(0.5 V) * exp(0.1 V)
+and exp(0.6 V) are distinct terms that evaluate alike, and whether two terms
+merge never depends on the other terms present or on the order of products.
+The complex value is summed from the vector in one fixed order, so equal
+vectors give bitwise-equal values.  Keys made by the operations of this
+module are canonical already and the constructor keeps them as they are;
+only outside keys are validated and lifted.
 
 Coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
 while building an expression are pruned; the threshold only has to absorb
@@ -58,6 +57,7 @@ __all__ = [
     "ExpPoly",
     "Exponent",
     "antidifference",
+    "exponent",
 ]
 
 PRUNE_REL_TOL = 1e-12
@@ -74,9 +74,10 @@ class Exponent(complex):
     ``vec`` is ((g_1, n_1), ..., (g_r, n_r)) with every n_i != 0, sorted by
     (Re g, Im g), and every generator has Re g > 0, or Re g = 0 and Im g > 0.
     The complex value is the sum of the n_i g_i taken in the order of ``vec``,
-    so it is a function of ``vec`` alone.  Hashing, equality and arithmetic
-    are those of the complex value; exponents combine exactly only through
-    ``exponent`` and the helpers of this module.
+    so it is a function of ``vec`` alone and the complex hash serves.  Two
+    exponents are equal iff their vectors are; against other numbers, equality
+    and arithmetic are those of the complex value.  Exponents combine exactly
+    only through ``exponent`` and the helpers of this module.
     """
 
     __slots__ = ("vec",)
@@ -89,6 +90,14 @@ class Exponent(complex):
         self = complex.__new__(cls, re, im)
         self.vec = vec
         return self
+
+    def __eq__(self, other):
+        return self.vec == other.vec if isinstance(other, Exponent) else super().__eq__(other)
+
+    def __ne__(self, other):
+        return self.vec != other.vec if isinstance(other, Exponent) else super().__ne__(other)
+
+    __hash__ = complex.__hash__
 
 
 ZERO = Exponent()
@@ -409,7 +418,7 @@ class ExpPoly:
             for key, c in cur.terms.items():
                 mu, k = key[var]
                 gain = max(gain, abs(mu) + k)
-                if mu != 0:
+                if mu.vec:
                     raw[key] = raw.get(key, 0j) + c * mu
                 if k > 0:
                     kd = key[:var] + ((mu, k - 1),) + key[var + 1:]
@@ -467,13 +476,10 @@ class ExpPoly:
         return r / self.scale if self.scale > 0 else 0.0
 
     def __eq__(self, other):
-        if isinstance(other, numbers.Complex) and not isinstance(other, ExpPoly):
-            other = ExpPoly.constant(other, self.arity)
-        if not isinstance(other, ExpPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if self.arity != other.arity:
-            return False
-        return (self - other).is_zero()
+        return self.arity == other.arity and (self - other).is_zero()
 
     __hash__ = None
 
@@ -485,7 +491,7 @@ class ExpPoly:
                              key=lambda kv: tuple((m.real, m.imag, k) for m, k in kv[0])):
             factors = []
             for j, (mu, k) in enumerate(key):
-                if mu != 0:
+                if mu.vec:
                     factors.append(f"exp(({mu:.6g})*V{j})")
                 if k:
                     factors.append(f"V{j}" + (f"^{k}" if k > 1 else ""))

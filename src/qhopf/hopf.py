@@ -251,10 +251,7 @@ def antipode_weights(p):
 
 
 def _acc(store, key, poly):
-    if key in store:
-        store[key] = store[key] + poly
-    else:
-        store[key] = poly
+    store[key] = store[key] + poly if key in store else poly
 
 
 def _spliced(pk, leg, part, c):
@@ -512,9 +509,7 @@ class HopfOscillator:
         legs = t.legs
         out = {}
         # The same pair of unit leg monomials recurs across terms, legs and
-        # calls; its product is formed once per instance.  The memo keys on
-        # the generator vector of each exponent, not on its complex value, so
-        # a hit returns exactly the product the pair itself would give.
+        # calls; its product is formed once per instance.
         leg_products = self._leg_products
         for key1, p1 in t.terms.items():
             for pk1, c1 in p1.terms.items():
@@ -522,8 +517,7 @@ class HopfOscillator:
                     for pk2, c2 in p2.terms.items():
                         leg_results = []
                         for i in range(legs):
-                            (mu1, k1), (mu2, k2) = pk1[i], pk2[i]
-                            memo_key = (key1[i], mu1.vec, k1, key2[i], mu2.vec, k2)
+                            memo_key = (key1[i], pk1[i], key2[i], pk2[i])
                             terms = leg_products.get(memo_key)
                             if terms is None:
                                 prod = self.product(self._leg_monomial(key1[i], pk1[i]),
@@ -652,16 +646,14 @@ class HopfOscillator:
 
         The image of each unit leg monomial is formed once per instance and
         kept as the map returns it, whatever leg and leg count it is used
-        at; the memo keys on the generator vector of the exponent, as in
-        ``tensor_product``.  A term c * (leg factors) takes each part of the
-        image in one ``ExpPoly`` construction, with its term keys spliced in
-        for the factor of leg ``leg``."""
+        at.  A term c * (leg factors) takes each part of the image in one
+        ``ExpPoly`` construction, with its term keys spliced in for the
+        factor of leg ``leg``."""
         legs = t.legs + width - 1
         out = {}
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
-                mu, k = pk[leg]
-                memo_key = (width, key[leg], mu.vec, k)
+                memo_key = (width, key[leg], pk[leg])
                 images = self._leg_images.get(memo_key)
                 if images is None:
                     hopf_map = self.coproduct if width == 2 else self.antipode

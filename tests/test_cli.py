@@ -538,6 +538,21 @@ def test_negative_integer_flags_exit_two(capsys, argv):
     assert err.startswith("error: ") and "non-negative" in err
 
 
+@pytest.mark.parametrize("argv, top", [
+    (("tabulate", "--n-max"), 10_000),
+    (("verify-hopf", "--max-order"), 12),
+])
+def test_integer_flags_above_their_bound_exit_two(capsys, argv, top):
+    # no exponent of this degenerate pack reaches the cap, so only the bound
+    # keeps a large --n-max from running for hours or out of memory
+    pack = ("--kappa1", "0", "--kappa2", "0", "--gamma1", "0.8")
+    code, out, err = run(capsys, *argv, str(top + 1), *pack)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} must lie in 0..{top}\n"
+    code, out, _ = run(capsys, *argv, str(top), *pack)
+    assert code == 0 and "overall: pass" in out
+
+
 def test_negative_env_sector_cap_exits_two(capsys, monkeypatch):
     for value in ("-1", "abc"):
         monkeypatch.setenv("QHOPF_MAX_SECTOR", value)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qhopf.expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference
+from qhopf.expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference, exponent
 
 
 def random_poly(rng, arity=1, n_terms=4, max_power=2):
@@ -19,9 +19,25 @@ def random_poly(rng, arity=1, n_terms=4, max_power=2):
 
 # ------------------------------------------------------------------- add/mul
 def test_mul_exponentials_adds_exponents():
+    # exponents are formal: 0.5 + 0.1 is a sum over two generators, not the
+    # generator 0.6, though it has the same value
     f = ExpPoly.exponential(0.5)
     g = ExpPoly.exponential(0.1)
-    assert f * g == ExpPoly.exponential(0.6)
+    assert f * g == ExpPoly.exponential(exponent((0.5, 1), (0.1, 1)))
+    assert f * g != ExpPoly.exponential(0.6)
+    for v in (0, 1, -2.5, 0.3 + 0.7j):
+        assert (f * g)(v) == ExpPoly.exponential(0.6)(v)
+
+
+def test_exponent_equality_is_a_congruence():
+    # a = 2 * 0.1 + 0.3 - 0.5 has the value 0 exactly, yet it is not the
+    # exponent 0: exp(aV) - 1 is nonzero, and so stays after a product
+    a = exponent((0.1, 2), (0.3, 1), (0.5, -1))
+    assert a == 0 and a != exponent()
+    x, y, h = ExpPoly.exponential(a), ExpPoly.exponential(0), ExpPoly.exponential(0.05)
+    assert (x - y).is_zero() == ((x - y) * h).is_zero() == (x * h - y * h).is_zero()
+    assert not (x - y).is_zero()
+    assert (x - y)(0.7) == 0
 
 
 def test_add_zero_is_identity():
@@ -75,7 +91,8 @@ def test_shift_round_trip():
 
 
 def reference_substitute(f, mapping, arity):
-    """substitute by the multinomial expansion alone, for every term."""
+    """substitute by the multinomial expansion alone, for every term, with
+    the exponents summed on their generator vectors."""
     raw = {}
     for key, coeff in f.terms.items():
         var_options = []
@@ -93,20 +110,29 @@ def reference_substitute(f, mapping, arity):
                     if jt:
                         w *= complex(coeffs[t]) ** jt
                 if w != 0:
-                    opts.append((tuple((t, mu * complex(coeffs[t]), jt)
+                    opts.append((tuple((t, scaled(mu, coeffs[t]), jt)
                                        for t, jt in zip(targets, comp[1:])), w))
             var_options.append(opts)
         for choice in itertools.product(*var_options):
-            slots = [[0j, 0] for _ in range(arity)]
+            slots = [[exponent(), 0] for _ in range(arity)]
             weight = coeff
             for contrib, w in choice:
                 weight *= w
                 for t, dmu, dk in contrib:
-                    slots[t][0] += dmu
+                    slots[t][0] = exponent((slots[t][0], 1), (dmu, 1))
                     slots[t][1] += dk
             nk = tuple((mu, k) for mu, k in slots)
             raw[nk] = raw.get(nk, 0j) + weight
     return ExpPoly(arity, raw, scale=f.scale)
+
+
+def scaled(mu, coeff):
+    """mu * coeff on the generator vector for an integer coeff, else a
+    generator of its own."""
+    coeff = complex(coeff)
+    if coeff.imag == 0 and coeff.real.is_integer():
+        return exponent((mu, int(coeff.real)))
+    return exponent((mu * coeff, 1))
 
 
 def compositions(total, slots):

@@ -1,13 +1,13 @@
 """Property tests: substitute's direct paths agree with the multinomial
-expansion, and the canonical form does not depend on term order, unrelated
-terms or the order of products."""
+expansion, the canonical form does not depend on term order, unrelated
+terms or the order of products, and exponent equality is a congruence."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qhopf.expalg import ExpPoly  # noqa: E402
+from qhopf.expalg import ExpPoly, exponent  # noqa: E402
 from test_expalg import assert_same_poly, reference_substitute  # noqa: E402
 
 small = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -77,3 +77,60 @@ def test_exponent_of_a_product_ignores_the_order_of_factors(factors, rng):
     shuffled = list(factors)
     rng.shuffle(shuffled)
     assert list(product(factors).terms) == list(product(shuffled).terms)
+
+
+@st.composite
+def related_exponents(draw):
+    """Generators, and exponents over them that are integer combinations;
+    beside some of those, the same value as a generator of its own: a pair
+    equal in value with different vectors."""
+    gens = draw(st.lists(cplx.filter(bool), min_size=1, max_size=3))
+    vector = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+    out = []
+    for ns in draw(st.lists(vector, min_size=1, max_size=4)):
+        mu = exponent(*zip(gens, ns))
+        out.append(mu)
+        if draw(st.booleans()):
+            out.append(exponent((complex(mu), 1)))
+    return gens, out
+
+
+def formal(f):
+    """The terms of f keyed by generator vectors, whatever keys compare by."""
+    return {tuple((mu.vec, k) for mu, k in key): c for key, c in f.terms.items()}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(related_exponents(), st.data())
+def test_products_keep_differences_zero_or_nonzero(case, data):
+    # x and y hold one exponent each per term: the same exponent rebuilt, or
+    # its value twin; exp(hV) is invertible, so (x - y) exp(hV) is zero iff
+    # x - y is
+    gens, exps = case
+    terms = st.lists(st.tuples(st.sampled_from(exps), coefficients, st.booleans()),
+                     min_size=1, max_size=4)
+    x, y = ExpPoly.zero(), ExpPoly.zero()
+    for mu, c, twin in data.draw(terms):
+        x = x + ExpPoly.exponential(mu) * c
+        y = y + ExpPoly.exponential(exponent((complex(mu), 1)) if twin else mu) * c
+    ns = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+    h = ExpPoly.exponential(exponent(*zip(gens, ns), (data.draw(cplx), 1)))
+    assert (x - y).is_zero() == ((x - y) * h).is_zero() == (x * h - y * h).is_zero()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(related_exponents(), st.data())
+def test_a_terms_key_ignores_the_other_terms(case, data):
+    # alone or beside terms equal to it in value, each term keeps its own
+    # vector and coefficient, before and after a product
+    gens, exps = case
+    exps = list({mu.vec: mu for mu in exps}.values())
+    cs = data.draw(st.lists(coefficients, min_size=len(exps), max_size=len(exps)))
+    ns = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+    h = ExpPoly.exponential(exponent(*zip(gens, ns)))
+    mixed = ExpPoly(1, {((mu, 0),): c for mu, c in zip(exps, cs)})
+    assert len(mixed.terms) == len(exps)
+    for mu, c in zip(exps, cs):
+        alone = ExpPoly(1, {((mu, 0),): c})
+        for f, g in ((alone, mixed), (alone * h, mixed * h)):
+            assert formal(f).items() <= formal(g).items()
