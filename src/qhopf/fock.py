@@ -26,13 +26,13 @@ series from the represented coproduct(a) and coproduct(adag) blocks, since
 the coproduct is an algebra map on the module.  Each 3-leg block, an
 embedding or a split, is one gather from a flat vector (the 2-leg blocks,
 or the split terms scaled with the scalar operand first), by an index plan
-that depends only on the leg pair and the sector and is kept for the
-process: the blocks are bit for bit those of placing the pieces one by
-one.  No check inverts R: the intertwiner is checked as
-R coproduct(h) = coproduct^op(h) R, so an ill-conditioned block at a high
-sector cap does not fail a relation that holds.  coproduct^op(h) is
-coproduct(h) read in the leg-swapped basis: the swap |n1, n2> -> |n2, n1>
-reverses the basis of every 2-leg sector.
+built from the states of its sector on first use and kept for the process
+(``_sector_plans``, which lays out the flat vectors): the blocks are bit
+for bit those of placing the pieces one by one.  No check inverts R: the
+intertwiner is checked as R coproduct(h) = coproduct^op(h) R, so an
+ill-conditioned block at a high sector cap does not fail a relation that
+holds.  coproduct^op(h) is coproduct(h) read in the leg-swapped basis: the
+swap |n1, n2> -> |n2, n1> reverses the basis of every 2-leg sector.
 
 Coefficient functions are evaluated by ``ExpPoly.evaluate`` alone, which
 owns the exponent cap; this module holds no evaluator or cap of its own.
@@ -44,7 +44,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -431,112 +431,62 @@ def _blocks_from_amplitude(amp, m_max):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _frozen(index):
-    """A kept plan is shared by every caller: read-only."""
-    index.flags.writeable = False
-    return index
+@cache
+def _sector_plans(m):
+    """The gather plans of the 3-leg blocks of sector m, built from its
+    states on first use and kept for the process, read-only and in the
+    smallest signed dtype that holds every index: the embeddings on legs
+    (0, 1), (0, 2) and (1, 2) (``_embed_pair``), then the coproduct splits
+    on legs (0, 1) and (1, 2) (``_split_block``).
 
+    Each plan indexes a flat vector of row-major 2-leg pieces: a piece maps
+    the sector m - v of the leg pair to m - w while the leg outside the pair
+    goes from v to w.  Entry (a, b) reads entry (t_a, t_b) of the piece from
+    v = v_b to w = w_a, t the level of the pair's second leg, or, where no
+    piece sits, what the vector holds for w_a.
 
-# the gather plans of sectors 0..len(_PLANS) - 1, kept for the process and
-# built again from a larger top sector when a run asks for more sectors
-_PLANS = ()
-
-
-def _plans(m_max):
-    """The gather plans of sectors 0..m_max (see ``_build_plans``)."""
-    global _PLANS
-    plans = _PLANS
-    if m_max >= len(plans):
-        _PLANS = plans = _build_plans(m_max)
-    return plans[:m_max + 1]
-
-
-def _build_plans(m_max):
-    """Gather plans of the 3-leg blocks on sectors 0..m_max: per sector m,
-    the plans of the embeddings on legs (0, 1), (0, 2) and (1, 2)
-    (``_embed_pair``) and of the coproduct splits on legs (0, 1) and (1, 2)
-    (``_split_block``).
-
-    The plans of a sector do not depend on m_max: each is built from one
-    plan of sector m_max in the basis that lists each state as
-    |w, n_i, n_j> for a leg pair (i, j) with the leg outside it at w, the
-    basis of ``sector_states`` itself for the pair (1, 2).  There the legs
-    of the pair span the 2-leg sector s = m - w at entry t = n_j, and the
-    states of sector m are the first ones of sector m_max with w raised by
-    m_max - m, which leaves every index the same.  So the plan of sector m
-    is the leading block of the one of sector m_max, in the order of
-    ``sector_states(m, 3)`` for the pair (1, 2) and reordered into it for
-    the others.
-
-    * Embedding, from the flat vector (0, R_0, R_1, ..) of the 2-leg blocks
-      in row-major order: entry (i, j) reads R_s[t_i, t_j] when both states
-      have the same w, and the 0 otherwise.
-    * Split: a piece (s, n) maps the 2-leg sector s = m - v of the pair to
-      s - n (left, the block of coproduct(a)^n) or s + n (right,
-      coproduct(adag)^n), while the leg outside goes from v to w = v + n or
-      v - n.  Ordered by s, then n (left), or by s + n, then s (right), the
-      pieces of sector m come first in every larger sector; that order,
-      row-major within each piece, is the order of the raw vector, and the
-      gathered vector is the scaled raw vector followed by the zero of each
-      w.  Entry (i, j) reads its piece, or the zero of w_i, which sits at
-      w_i - m - 1 from the end.  A split plan is (order, w, sizes, n,
-      plan): the series position of each piece in raw order (the series
-      takes s descending, then n ascending), its w and size, and the length
-      of the raw vector.
+    * Embedding, from (0, R_0, R_1, ..): the piece of v = w is R_s, s = m - w,
+      at 1 + s(s+1)(2s+1)/6; no piece reads the 0.
+    * Split, from the raw vector of its pieces followed by one zero per w:
+      piece (s, n) maps the pair's sector s to s - n (left, coproduct(a)^n
+      on legs (0, 1)) or s + n (right, coproduct(adag)^n on legs (1, 2)).
+      The raw vector orders the pieces by s, then n (left), or by s + n,
+      then s (right); the i-th piece is the i-th state |n1, n2, n3> of
+      ``sector_states(m, 3)`` read as (n2 + n3, n3) or (n3, n2).  A split
+      plan is (order, w, sizes, n, plan): the series position of each piece
+      in raw order (the series takes v ascending, then n), its w and size,
+      and the length of the raw vector.
     """
-    top = m_max
-    # tri[k] = 0 + 1 + .. + k: sector k - 1 has tri[k] states
-    tri = np.cumsum(np.arange(top + 2))
-    d_top = int(tri[top + 1])
-    # the states |top - n23, n23 - n3, n3> of sector_states(top, 3), read as
-    # |w, n_i, n_j>: w = top - n23, s = n23 and t = n3
-    n23 = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
-    n3 = np.arange(d_top) - tri.take(n23)
-    w, t = top - n23, n3
-    # the pieces (v, w, size) of each plan in the order of its flat vector,
-    # the index of the first and what the entries outside every piece read:
-    # R_s at v = w = top - s after the 0; the split pieces (s, n), the zeros
-    # counted back from the end
-    s = np.arange(top + 1)
-    layouts = [(top - s, top - s, (s + 1) ** 2, 1, 0)]
-    for s, n, sign in ((n23, n3, 1), (n3, n23 - n3, -1)):
-        v = top - s
-        piece_w = v + sign * n
-        layouts.append((v, _frozen(piece_w), _frozen((top + 1 - piece_w) * (s + 1)), 0,
-                        (w - top - 1)[:, None]))
-    # the (w_i, w_j) cell of each entry, and per cell whether a piece sits
-    # there and the index of its first entry
-    cells = w[:, None] * (top + 1) + w
-    gens, ends = [], []
-    for v, piece_w, sizes, first, outside in layouts:
-        ends.append(first + np.cumsum(sizes))
-        start = np.zeros((top + 1) ** 2, dtype=int)
-        inside = np.zeros((top + 1) ** 2, dtype=bool)
-        start[piece_w * (top + 1) + v] = ends[-1] - sizes
-        inside[piece_w * (top + 1) + v] = True
-        gens.append(np.where(inside.take(cells),
-                             start.take(cells) + t[:, None] * (top + 1 - w) + t, outside))
-    # kept in the smallest signed dtype that holds every index
-    dtype = np.min_scalar_type(-max(int(end[-1]) for end in ends))
-    embed, left, right = (_frozen(gen.astype(dtype)) for gen in gens)
-    plans = []
-    for m in range(top + 1):
-        d = int(tri[m + 1])
-        s23, s3 = n23[:d], n3[:d]
-        s2 = s23 - s3
-        # where |n3, n1, n2> and |n2, n1, n3> sit in sector m: the states in
-        # the basis of the pairs (0, 1) and (0, 2)
-        at01, at02 = ((r * d_top)[:, None] + r
-                      for r in (tri.take(m - s3) + s2, tri.take(m - s2) + s3))
-        # the series position of each piece: (s, n) is (s23, s3) on the left
-        # and (s3, s2) on the right
-        orders = (tri[m + 1] - tri.take(s23 + 1) + s3, tri.take(m - s3) + s2)
-        splits = (
-            (_frozen(order), _frozen(piece_w[:d] - (top - m)), sizes[:d], int(end[d - 1]), plan)
-            for order, (_, piece_w, sizes, *_), end, plan in zip(
-                orders, layouts[1:], ends[1:], (_frozen(left.take(at01)), right[:d, :d])))
-        plans.append((_frozen(embed.take(at01)), _frozen(embed.take(at02)), embed[:d, :d],
-                      *splits))
+    legs = n1, n2, n3 = np.array(sector_states(m, 3)).T
+    k = m + 1
+    # the raw vector of either split has n entries; with its k zeros it is
+    # the longest flat vector
+    n = k * (k + 1) * (k + 2) * (3 * k + 1) // 24
+    dtype = np.min_scalar_type(-(n + k))
+
+    def frozen(array):
+        array.flags.writeable = False
+        return array
+
+    def gather(pair, v, w, first, outside):
+        # per cell (w, v): the index of its piece's first entry, or of what
+        # row w reads outside every piece
+        start, inside = np.repeat(outside, k), np.zeros(k * k, dtype=int)
+        start[w * k + v], inside[w * k + v] = first, 1
+        out, t = legs[3 - sum(pair)], legs[pair[1]]
+        cells = out[:, None] * k + out
+        return frozen((start.take(cells) + inside.take(cells) * (t[:, None] * (k - out) + t))
+                      .astype(dtype))
+
+    w = np.arange(k)
+    s = m - w
+    plans = [gather(pair, w, w, 1 + s * (s + 1) * (2 * s + 1) // 6, 0 * w) for pair in _PAIRS]
+    # the pieces of each split in raw order: v, w, size and series position
+    for pair, v, w, sizes, order in (
+            ((0, 1), n1, n1 + n3, (n2 + 1) * (k - n1), n1 * (2 * k + 1 - n1) // 2 + n3),
+            ((1, 2), n1 + n2, n1, (n3 + 1) * (k - n1), (n1 + n2) * (n1 + n2 + 1) // 2 + n2)):
+        plans.append((frozen(order), frozen(w), frozen(sizes), n,
+                      gather(pair, v, w, np.cumsum(sizes) - sizes, n + np.arange(k))))
     return tuple(plans)
 
 
@@ -549,15 +499,14 @@ def _embed_pair(r2, pair, m_max):
     flat = np.concatenate([np.zeros(1, dtype=complex),
                            *(r2.blocks[s] for s in range(m_max + 1))], axis=None)
     k = _PAIRS.index(pair)
-    return SectorOperator(3, 0, {m: flat.take(plans[k])
-                                 for m, plans in enumerate(_plans(m_max))})
+    return SectorOperator(3, 0, {m: flat.take(_sector_plans(m)[k]) for m in range(m_max + 1)})
 
 
 def _split_block(split_plan, m, raw, coeffs, scale):
     """Sector-m block of a coproduct split with the plan ``split_plan`` (see
-    ``_plans``) from the raw vector of its pieces, the scalar of each piece
-    in series order (``coeffs``) and the prefactor of each value w of the
-    leg outside the pair (``scale``).
+    ``_sector_plans``) from the raw vector of its pieces, the scalar of each
+    piece in series order (``coeffs``) and the prefactor of each value w of
+    the leg outside the pair (``scale``).
 
     Each piece is multiplied by its scalar with the scalar operand first and
     then row by row by its prefactor: the operations, and the operand order,
@@ -645,18 +594,18 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     the coproduct(a)^n or coproduct(adag)^n blocks of every term, each
     multiplied by its scalar c_n (XY)^(...) sqrt(F..) with the scalar
     operand first, as in ``c * piece``, and then by the prefactor of its
-    rows.  The gather plans are kept for the process (``_plans``).
+    rows.  ``_sector_plans`` lays out the raw vectors of the pieces and
+    keeps the gather plans of each sector for the process.
     """
     p = amp.params
     # F up to level 2 m_max + 1, though no block reads past level m_max + 2:
     # the wide range keeps refused (exit 2) a pack whose G passes the exponent
     # cap only there and whose split prefactor underflows, until the splits
-    # take that prefactor in scaled form (ROADMAP item 3)
+    # take that prefactor in scaled form (ROADMAP item 1)
     _, sqrt_f, _ = _structure_values(p, 2 * m_max + 1)
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, m_max)
-    # the raw vectors of the split plans, every sector reading a prefix:
-    # coproduct(a)^n, mapping 2-leg sector s to s - n, by s, then n; and
-    # coproduct(adag)^n, mapping s to s + n, by s + n, then s
+    # the raw vectors of the split plans up to sector m_max, each sector
+    # reading a prefix
     downs, ups, up = [], [], []
     for s in range(m_max + 1):
         downs.append(np.eye(s + 1, dtype=complex))
@@ -669,7 +618,8 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     downs = np.concatenate(downs, axis=None)
     ups = np.concatenate(ups, axis=None)
     series, kappa, kappa1, gamma = amp.series, p.kappa, p.kappa1, p.gamma
-    for m, (*_, left_plan, right_plan) in enumerate(_plans(m_max)):
+    for m in range(m_max + 1):
+        *_, left_plan, right_plan = _sector_plans(m)
         left = _split_block(left_plan, m, downs, (
             series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma)) * raise_amp[t3][n]
             for t3 in range(m + 1) for n in range(m - t3 + 1)),

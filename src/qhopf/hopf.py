@@ -471,9 +471,6 @@ class HopfOscillator:
                 _acc(out, (r, s + s2), f * g.shift(s))
         return AlgebraElement(self, out)
 
-    def commutator(self, x, y):
-        return x * y - y * x
-
     # ----------------------------------------------------------------- tensor
     def tensor_join(self, *factors):
         """Tensor product x1 (x) x2 [(x) x3] of algebra elements."""

@@ -158,24 +158,18 @@ def test_verify_rmatrix_builds_and_embeds_each_r_once(capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [GENERAL_ARGV, OH_SINGH_ARGV], ids=["general", "oh-singh"])
-def test_verify_rmatrix_builds_each_sector_plan_once(capsys, monkeypatch, argv):
+def test_verify_rmatrix_builds_each_sector_plan_once(capsys, argv):
     # one run builds the gather plans of sectors 0..8 once: one per leg pair,
     # or split, and sector, shared by every R the run embeds; a second run in
     # the same process builds none, nor does a run at a lower sector cap
-    builds, build = [], fock._build_plans
-
-    def counted(m_max):
-        builds.append(m_max)
-        return build(m_max)
-
-    monkeypatch.setattr(fock, "_build_plans", counted)
-    monkeypatch.setattr(fock, "_PLANS", ())
+    fock._sector_plans.cache_clear()
     for m_max in ("8", "8", "5"):
         code, _, _ = run(capsys, "verify-rmatrix", *argv, "--max-sector", m_max)
         assert code == 0
-        assert builds == [8]
-    plans = fock._plans(8)
-    assert len(plans) == 9 and {len(sector) for sector in plans} == {5}
+        info = fock._sector_plans.cache_info()
+        assert (info.misses, info.currsize) == (9, 9)
+    assert {len(fock._sector_plans(m)) for m in range(9)} == {5}
+    assert fock._sector_plans.cache_info().misses == 9
 
 
 @pytest.mark.parametrize("m", [6, 12])

@@ -35,32 +35,46 @@ def coproduct_blocks(p, m_max):
     return [represent_tensor(alg.coproduct(h), p, m_max) for h in (alg.lowering(), alg.raising())]
 
 
-def test_gathered_blocks_equal_piecewise_reference_bit_for_bit(monkeypatch):
-    # each sector cap 0..12 builds the plans again from its top sector; 5 and
-    # 12 then read the kept ones, which must give the same bits
-    builds, build = [], fock._build_plans
+def assert_blocks_equal_reference(name, m_max):
+    """Every embedding and coproduct split on sectors 0..m_max of the pack
+    ``PACKS[name]`` has the bits of the piecewise reference."""
+    p = PACKS[name]
+    amp = _RMatrixAmplitude(p, m_max)
+    r2 = _blocks_from_amplitude(amp, m_max)
+    for pair, got in zip(PAIRS, r2.embeddings):
+        want = ref.embed_pair(r2, pair, m_max)
+        for m in range(m_max + 1):
+            assert same_bits(got.blocks[m], want.blocks[m]), (name, m_max, pair, m)
+    d_a, d_adag = coproduct_blocks(p, m_max)
+    got = list(_coproduct_splits(amp, d_a, d_adag, m_max))
+    want = list(ref.coproduct_splits(amp, d_a, d_adag, m_max))
+    assert len(got) == len(want) == m_max + 1
+    for m, (g, w) in enumerate(zip(got, want)):
+        assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]), (name, m_max, m)
 
-    def counted(m_max):
-        builds.append(m_max)
-        return build(m_max)
 
-    monkeypatch.setattr(fock, "_build_plans", counted)
-    monkeypatch.setattr(fock, "_PLANS", ())
+def test_gathered_blocks_equal_piecewise_reference_bit_for_bit():
+    # each sector cap 0..12 builds the plans of its top sector; 5 and 12 then
+    # read the kept ones, which must give the same bits
+    fock._sector_plans.cache_clear()
     for m_max in [*range(13), 5, 12]:
-        for name, p in PACKS.items():
-            amp = _RMatrixAmplitude(p, m_max)
-            r2 = _blocks_from_amplitude(amp, m_max)
-            for pair, got in zip(PAIRS, r2.embeddings):
-                want = ref.embed_pair(r2, pair, m_max)
-                for m in range(m_max + 1):
-                    assert same_bits(got.blocks[m], want.blocks[m]), (name, m_max, pair, m)
-            d_a, d_adag = coproduct_blocks(p, m_max)
-            got = list(_coproduct_splits(amp, d_a, d_adag, m_max))
-            want = list(ref.coproduct_splits(amp, d_a, d_adag, m_max))
-            assert len(got) == len(want) == m_max + 1
-            for m, (g, w) in enumerate(zip(got, want)):
-                assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]), (name, m_max, m)
-    assert builds == list(range(13))
+        for name in PACKS:
+            assert_blocks_equal_reference(name, m_max)
+    assert fock._sector_plans.cache_info().misses == 13
+    # a kept plan is shared by every caller: no array in it can be written
+    for m in range(13):
+        *embeds, left, right = fock._sector_plans(m)
+        for array in (*embeds, *(a for a in left + right if isinstance(a, np.ndarray))):
+            assert not array.flags.writeable, m
+
+
+@pytest.mark.parametrize("m_max", [16, 20, 22])
+@pytest.mark.parametrize("pack", ["generic-complex", "q-oscillator"])
+def test_high_sector_blocks_equal_piecewise_reference_bit_for_bit(pack, m_max):
+    # the plans of sectors 4..20 index in int16 and those from sector 21 on,
+    # where a split's raw vector passes 32767 entries, in int32
+    assert_blocks_equal_reference(pack, m_max)
+    assert fock._sector_plans(m_max)[0].dtype == (np.int16 if m_max <= 20 else np.int32)
 
 
 @pytest.mark.parametrize("pack", sorted(PACKS))
