@@ -27,7 +27,7 @@ print("matches the mapped G   :", all(
 
 # %% Inverse map (positive-eps gauge): recovered by one-dimensional root
 # finding in eps.
-print("\nround trip:", param_map_inverse(p))
+print("\nround trip:", param_map_inverse(p).to_dict())
 
 # %% The R-matrix evaluated from the q-oscillator formula alone agrees
 # blockwise with the general construction fed through the dictionary.

@@ -12,14 +12,12 @@ convert-params  Dictionary between (kappa1, kappa2, gamma, G0) and
 Parameters are accepted either in oscillator form (--kappa1 --kappa2
 --gamma1 [--gamma2 | --k] --g0) or in q-oscillator form (--eps | --q
 --alpha --beta --k); mixing the two styles is a usage error.  ``classify``
-additionally accepts the real-decomposition form (--xi --eta --gamma1
---gamma2).  A JSON --config file may supply the same keys; explicit flags
+additionally accepts the real-decomposition form, which takes only --xi
+--eta --gamma1 --gamma2 --g0.  A JSON --config file may supply the same keys; explicit flags
 win.  Exit codes: 0 all checks passed, 1 an identity was judged false, 2 a
 usage error, or a pack or value that is not finite or exceeds double
 precision or the exponent cap.
 """
-
-from __future__ import annotations
 
 import argparse
 import cmath
@@ -29,11 +27,6 @@ import math
 import os
 import sys
 
-from .constraints import (HermiticityInput, OhSinghParams, classify_family,
-                          classify_hermiticity, param_map_inverse, param_map_oh_singh,
-                          pointwise_reality, verify_ci_conditions, verify_g_recursion)
-from .hopf import (HopfOscillator, build_params, coproduct_weights, g_function,
-                   structure_function, structure_function_values)
 from .report import CheckReport
 
 DEFAULT_SECTOR_CAP = 8
@@ -141,6 +134,11 @@ def _detect_style(vals):
     if ohs:
         return "ohsingh"
     if herm:
+        # the Hermiticity form takes --xi --eta --gamma1 --gamma2 --g0 only
+        extra = [f"--{k}" for k in ("kappa1", "kappa2", "k") if vals.has(k)]
+        if extra:
+            raise UsageError(f"Hermiticity-form parameters (--xi/--eta) mixed with "
+                             f"{', '.join(extra)}")
         return "hermiticity"
     if osc:
         return "oscillator"
@@ -158,6 +156,8 @@ def _resolve_ohsingh(vals):
         eps = math.log(q)
     if eps is None or vals.get("alpha") is None:
         raise UsageError("q-oscillator form needs --eps (or --q) and --alpha")
+    from .constraints import OhSinghParams
+
     try:
         return OhSinghParams(eps, _to_real(vals, "alpha"),
                              _to_real(vals, "beta") or 0.0,
@@ -187,6 +187,8 @@ def _resolve_oscillator(vals):
             gamma2 = 0.0
     g0 = _to_complex(vals, "g0")
     g0 = 1.0 + 0j if g0 is None else g0
+    from .hopf import build_params
+
     try:
         return build_params(kappa1, kappa2, complex(gamma1, gamma2), g0)
     except ValueError as exc:
@@ -196,6 +198,8 @@ def _resolve_oscillator(vals):
 def _resolve_params(vals):
     style = _detect_style(vals)
     if style == "ohsingh":
+        from .constraints import param_map_oh_singh
+
         return param_map_oh_singh(_resolve_ohsingh(vals))
     if style == "oscillator":
         return _resolve_oscillator(vals)
@@ -213,6 +217,9 @@ def _sector_limit(requested):
 # ------------------------------------------------------------------ commands
 def _cmd_classify(vals):
     style = _detect_style(vals)
+    from .constraints import (HermiticityInput, classify_family, classify_hermiticity,
+                              pointwise_reality)
+
     if style == "hermiticity":
         h = HermiticityInput(_to_real(vals, "xi") or 0.0,
                              _to_real(vals, "eta") or 0.0,
@@ -246,6 +253,9 @@ def _cmd_classify(vals):
 def _cmd_verify_hopf(vals):
     max_order = _int_flag(vals, "max_order", 6, top=12)
     params = _resolve_params(vals)
+    from .constraints import verify_ci_conditions, verify_g_recursion
+    from .hopf import HopfOscillator
+
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
     rep.extend(algebra.check_axioms(), prefix="hopf/")
@@ -258,8 +268,9 @@ def _cmd_verify_hopf(vals):
 def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     requested = _int_flag(vals, "max_sector", 6)
     m_max, cap = _sector_limit(requested)
-    # numpy and the R-matrix layer load here, so the other subcommands (and
-    # a run refused above) start without them
+    # each subcommand loads its layers only after the checks that need none,
+    # so a run refused above loads none; numpy and the R-matrix layer load
+    # for verify-rmatrix alone
     import numpy as np
 
     from .fock import (build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
@@ -270,6 +281,8 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     # FloatingPointError, an ArithmeticError, instead of warning
     with np.errstate(all="raise", under="ignore"):
         if oh_singh_mode:
+            from .constraints import param_map_oh_singh
+
             o = _resolve_ohsingh(vals)
             params = param_map_oh_singh(o)
             rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
@@ -310,6 +323,9 @@ def _cmd_tabulate(vals, out):
     # where no exponent reaches the cap, nothing else bounds the row count
     n_max = _int_flag(vals, "n_max", 10, top=10_000)
     params = _resolve_params(vals)
+    from .hopf import (coproduct_weights, g_function, structure_function,
+                       structure_function_values)
+
     cols = ([("g", g_function(params)), ("f", structure_function(params))]
             + coproduct_weights(params).named())
     table = [[fn(n) for _, fn in cols] for n in range(n_max + 1)]
@@ -342,6 +358,8 @@ def _cmd_tabulate(vals, out):
 
 def _cmd_convert(vals):
     style = _detect_style(vals)
+    from .constraints import param_map_inverse, param_map_oh_singh
+
     rep = CheckReport()
     if style == "ohsingh":
         o = _resolve_ohsingh(vals)

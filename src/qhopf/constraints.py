@@ -9,11 +9,8 @@ whether G is a real function of N (the condition for the Hermiticity
 requirements to hold) and names the resulting family.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass
 
 from .expalg import ExpPoly
 from .hopf import antipode_weights, build_params, coproduct_weights, g_function
@@ -37,22 +34,16 @@ __all__ = [
 _TINY = 1e-12
 
 
-@dataclass(frozen=True)
 class HermiticityInput:
     """Real decomposition kappa1 - kappa2 = xi + i eta, gamma = gamma1 + i gamma2."""
 
-    xi: float
-    eta: float
-    gamma1: float
-    gamma2: float
+    def __init__(self, xi, eta, gamma1, gamma2):
+        self.xi, self.eta, self.gamma1, self.gamma2 = xi, eta, gamma1, gamma2
 
 
-@dataclass
 class FamilyVerdict:
-    hermitian: bool
-    family: str
-    k: int | None = None
-    notes: str = ""
+    def __init__(self, hermitian, family, k=None, notes=""):
+        self.hermitian, self.family, self.k, self.notes = hermitian, family, k, notes
 
     def to_dict(self):
         out = {"hermitian": self.hermitian, "family": self.family, "notes": self.notes}
@@ -61,20 +52,15 @@ class FamilyVerdict:
         return out
 
 
-@dataclass(frozen=True)
 class OhSinghParams:
     """q-oscillator presentation: q = exp(eps) > 1, real alpha != 0, beta, integer k."""
 
-    eps: float
-    alpha: float
-    beta: float
-    k: int = 0
-
-    def __post_init__(self):
-        if self.eps <= 0:
+    def __init__(self, eps, alpha, beta, k=0):
+        if eps <= 0:
             raise ValueError("eps must be positive (q = exp(eps) in R+)")
-        if self.alpha == 0:
+        if alpha == 0:
             raise ValueError("alpha must be nonzero")
+        self.eps, self.alpha, self.beta, self.k = eps, alpha, beta, k
 
     def to_dict(self):
         return {"eps": self.eps, "alpha": self.alpha, "beta": self.beta, "k": self.k}

@@ -43,8 +43,6 @@ several targets, go through the multinomial expansion; either way the terms
 keep their order and come out with the coefficients of the expansion.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import numbers

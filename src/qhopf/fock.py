@@ -38,12 +38,9 @@ Coefficient functions are evaluated by ``ExpPoly.evaluate`` alone, which
 owns the exponent cap; this module holds no evaluator or cap of its own.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -210,13 +207,12 @@ def sector_states(m, legs):
     return out
 
 
-@dataclass
 class SectorOperator:
     """Block map between total-level sectors: sector M -> sector M + degree."""
 
-    legs: int
-    degree: int
-    blocks: dict = field(default_factory=dict)
+    def __init__(self, legs, degree, blocks=None):
+        self.legs, self.degree = legs, degree
+        self.blocks = {} if blocks is None else blocks
 
     def sectors(self):
         return sorted(self.blocks)
@@ -631,13 +627,6 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
         yield left, right
 
 
-@dataclass
-class _QuasitriangularityReport(CheckReport):
-    """The report of ``check_quasitriangularity`` with the R it judged."""
-
-    rmatrix: SectorOperator | None = field(default=None, repr=False, compare=False)
-
-
 def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """Verify the three quasitriangularity relations per sector M <= m_max.
 
@@ -661,7 +650,8 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     r2 = _blocks_from_amplitude(amp, m_max)
     r12, r13, r23 = r2.embeddings
     algebra = HopfOscillator(params)
-    rep = _QuasitriangularityReport(params=params.to_dict(), rmatrix=r2)
+    rep = CheckReport(params=params.to_dict())
+    rep.rmatrix = r2
     probes = [("a", algebra.lowering(), -1), ("adag", algebra.raising(), +1),
               ("N", algebra.number_op(), 0)]
     coproducts = {name: represent_tensor(algebra.coproduct(h), params, m_max)

@@ -46,11 +46,8 @@ Three parameter branches are distinguished:
 where kappa = kappa1 - kappa2 throughout.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
 
@@ -77,7 +74,6 @@ __all__ = [
 BRANCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class HopfParams:
     """Parameter pack with derived scalars.
 
@@ -86,15 +82,9 @@ class HopfParams:
     (populated on the generic branch only) feed the R-matrix series.
     """
 
-    kappa1: complex
-    kappa2: complex
-    gamma: complex
-    g0: complex
-    branch: str
-    kappa: complex
-    x: complex
-    y: complex
-    lambda_sq: complex | None
+    def __init__(self, kappa1, kappa2, gamma, g0, branch, kappa, x, y, lambda_sq):
+        self.kappa1, self.kappa2, self.gamma, self.g0 = kappa1, kappa2, gamma, g0
+        self.branch, self.kappa, self.x, self.y, self.lambda_sq = branch, kappa, x, y, lambda_sq
 
     def to_dict(self):
         out = {
@@ -201,7 +191,6 @@ def structure_function_values(p, n_max):
     return vals
 
 
-@dataclass(frozen=True)
 class CoproductWeights:
     """Coefficient functions of the coproduct on the ladder generators:
 
@@ -209,22 +198,20 @@ class CoproductWeights:
     coproduct(a)    = a (x) lower_right + lower_left (x) a
     """
 
-    raise_right: ExpPoly
-    raise_left: ExpPoly
-    lower_right: ExpPoly
-    lower_left: ExpPoly
+    def __init__(self, raise_right, raise_left, lower_right, lower_left):
+        self.raise_right, self.raise_left = raise_right, raise_left
+        self.lower_right, self.lower_left = lower_right, lower_left
 
     def named(self):
         return [("raise_right", self.raise_right), ("raise_left", self.raise_left),
                 ("lower_right", self.lower_right), ("lower_left", self.lower_left)]
 
 
-@dataclass(frozen=True)
 class AntipodeWeights:
     """S(adag) = -raising(N) adag and S(a) = -lowering(N) a."""
 
-    raising: ExpPoly
-    lowering: ExpPoly
+    def __init__(self, raising, lowering):
+        self.raising, self.lowering = raising, lowering
 
 
 def _exp_shifted(mu, offset, extra=0j):

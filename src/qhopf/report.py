@@ -1,12 +1,9 @@
 """Structured pass/fail reports shared by the check suites and the CLI."""
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass, field
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
 
 __all__ = ["TOOL_VERSION", "CheckResult", "CheckReport", "jsonable"]
 
@@ -22,12 +19,10 @@ def jsonable(value):
     return value
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    residual: float = 0.0
-    witness: str | None = None
+    def __init__(self, name, status, residual=0.0, witness=None):
+        # status is "pass", "fail" or "skipped"
+        self.name, self.status, self.residual, self.witness = name, status, residual, witness
 
     def to_dict(self):
         out = {"name": self.name, "status": self.status, "residual": self.residual}
@@ -36,11 +31,11 @@ class CheckResult:
         return out
 
 
-@dataclass
 class CheckReport:
-    params: dict = field(default_factory=dict)
-    checks: list[CheckResult] = field(default_factory=list)
-    tool_version: str = TOOL_VERSION
+    def __init__(self, params=None, checks=None, tool_version=TOOL_VERSION):
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
+        self.tool_version = tool_version
 
     def add(self, name, ok, residual=0.0, witness=None):
         """Record a judged check.  A residual that is not finite is a value

@@ -344,6 +344,18 @@ def test_gamma_flags_mixed_with_q_style_rejected(capsys):
     assert "mixed" in err
 
 
+@pytest.mark.parametrize("extra", [("--kappa1", "0.3"), ("--kappa2", "-0.3"), ("--k", "1")])
+@pytest.mark.parametrize("herm", [("--xi", "0.5", "--eta", "0"), ("--eta", "0.3"),
+                                  ("--xi", "0.5")])
+def test_hermiticity_form_refuses_oscillator_flags(capsys, herm, extra):
+    # the Hermiticity form takes --xi --eta --gamma1 --gamma2 --g0 only; a
+    # --kappa1, --kappa2 or --k beside it is refused, not silently dropped
+    code, out, err = run(capsys, "classify", *herm, "--gamma1", "0.4", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert extra[0] in err
+
+
 def test_unknown_flag_exits_two(capsys):
     code = main(["verify-hopf", "--no-such-flag", "1"])
     capsys.readouterr()
@@ -440,53 +452,74 @@ def test_exit_code_matches_overall(capsys):
     assert (code == 0) == (report["overall"] == "pass")
 
 
-def test_cli_import_does_not_load_scipy():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, qhopf.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+_LAYER_EXPORTS = {
+    "qhopf.hopf": "CoproductWeights HopfOscillator TensorElement antipode_weights build_params "
+                  "coproduct_weights g_function proposition1_params structure_function "
+                  "structure_function_values",
+    "qhopf.constraints": "HermiticityInput OhSinghParams classify_family classify_hermiticity "
+                         "oh_singh_g_poly param_map_inverse param_map_oh_singh "
+                         "pointwise_reality q_bracket reality_defect verify_ci_conditions "
+                         "verify_g_recursion",
+    "qhopf.report": "CheckReport",
+    "qhopf.fock": "FockWindow NonUnitarizableWindowError SectorOperator build_rmatrix "
+                  "build_rmatrix_oh_singh check_quasitriangularity check_yang_baxter "
+                  "compare_sector_operators interior_residual represent_tensor sector_dim "
+                  "sector_states",
+}
 
 
-def test_numpy_loads_only_for_verify_rmatrix():
-    # every subcommand but verify-rmatrix, and a verify-rmatrix run refused
-    # during validation, runs without numpy and the R-matrix layer
+def test_each_subcommand_loads_only_its_layers():
+    # Each call is a fresh process.  Importing the CLI loads no layer, and a
+    # subcommand loads only the layers it runs: a run refused during
+    # validation none, tabulate and the general verify-rmatrix not the
+    # constraints layer, only verify-rmatrix numpy, and none of them scipy or
+    # dataclasses.  After the import alone, every exported name resolves from
+    # qhopf to the layer that defines it, and dir(qhopf) lists it.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("QHOPF_MAX_SECTOR", None)
     code = """if True:
-        import contextlib, io, sys
-        import qhopf
-        assert "numpy" not in sys.modules
-        from qhopf.cli import main
-        runs = [
-            ("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),
-            ("verify-hopf", "--kappa1", "0.3", "--kappa2", "-0.3", "--gamma1", "0.8",
-             "--k", "0", "--max-order", "2"),
-            ("tabulate", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"),
-            ("convert-params", "--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0"),
-            ("verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7",
-             "--max-sector", "-1"),
-        ]
-        for argv in runs:
+        import contextlib, io, json, sys
+        import qhopf.cli
+        argv = sys.argv[1:]
+        out = []
+        if argv:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(list(argv))
-            print(argv[0], code, err.getvalue().startswith("error: "),
-                  "numpy" in sys.modules, "qhopf.fock" in sys.modules)
-        assert "build_rmatrix" in dir(qhopf)
-        from qhopf import SectorOperator, build_rmatrix
-        print(build_rmatrix.__module__, SectorOperator.__module__, "numpy" in sys.modules)
+                out = [qhopf.cli.main(argv), err.getvalue().startswith("error: ")]
+        print(*out, *[m for m in ("dataclasses", "numpy", "scipy", "qhopf.expalg",
+                                  "qhopf.hopf", "qhopf.constraints", "qhopf.fock")
+                      if m in sys.modules])
+        if not argv:
+            layers = {}
+            for name in qhopf.__all__:
+                layers.setdefault(getattr(qhopf, name).__module__, []).append(name)
+            print(json.dumps({layer: " ".join(sorted(names)) for layer, names in layers.items()}))
+            print(set(qhopf.__all__) <= set(dir(qhopf)))
     """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.splitlines() == [
-        "classify 0 False False False",
-        "verify-hopf 0 False False False",
-        "tabulate 0 False False False",
-        "convert-params 0 False False False",
-        "verify-rmatrix 2 True False False",
-        "qhopf.fock qhopf.fock True",
+    osc = ("--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7")
+    layers = "qhopf.expalg qhopf.hopf"
+    runs = [
+        ((), ""),
+        (("verify-rmatrix", *osc, "--max-sector", "-1"), "2 True"),
+        (("tabulate", *osc), f"0 False {layers}"),
+        (("verify-rmatrix", *osc, "--max-sector", "2"), f"0 False numpy {layers} qhopf.fock"),
+        (("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),
+         f"0 False {layers} qhopf.constraints"),
+        (("classify", *osc), f"0 False {layers} qhopf.constraints"),
+        (("convert-params", "--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0"),
+         f"0 False {layers} qhopf.constraints"),
+        (("verify-hopf", *osc, "--max-order", "2"), f"0 False {layers} qhopf.constraints"),
+        (("verify-rmatrix", "--oh-singh", "--eps", "0.5", "--alpha", "1.2", "--max-sector",
+          "2"), f"0 False numpy {layers} qhopf.constraints qhopf.fock"),
     ]
+    for argv, loaded in runs:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        lines = out.splitlines()
+        assert lines[0] == loaded, argv
+        if not argv:
+            assert json.loads(lines[1]) == _LAYER_EXPORTS
+            assert lines[2:] == ["True"]
 
 
 def test_max_order_zero_is_honoured(capsys):
