@@ -452,6 +452,55 @@ def test_exit_code_matches_overall(capsys):
     assert (code == 0) == (report["overall"] == "pass")
 
 
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, qhopf.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
+
+
+def test_numpy_loads_only_for_verify_rmatrix():
+    # every subcommand but verify-rmatrix, and a verify-rmatrix run refused
+    # during validation, runs without numpy and the R-matrix layer
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("QHOPF_MAX_SECTOR", None)
+    code = """if True:
+        import contextlib, io, sys
+        import qhopf
+        assert "numpy" not in sys.modules
+        from qhopf.cli import main
+        runs = [
+            ("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),
+            ("verify-hopf", "--kappa1", "0.3", "--kappa2", "-0.3", "--gamma1", "0.8",
+             "--k", "0", "--max-order", "2"),
+            ("tabulate", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7"),
+            ("convert-params", "--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0"),
+            ("verify-rmatrix", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1", "0.7",
+             "--max-sector", "-1"),
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            print(argv[0], code, err.getvalue().startswith("error: "),
+                  "numpy" in sys.modules, "qhopf.fock" in sys.modules)
+        assert "build_rmatrix" in dir(qhopf)
+        from qhopf import SectorOperator, build_rmatrix
+        print(build_rmatrix.__module__, SectorOperator.__module__, "numpy" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "classify 0 False False False",
+        "verify-hopf 0 False False False",
+        "tabulate 0 False False False",
+        "convert-params 0 False False False",
+        "verify-rmatrix 2 True False False",
+        "qhopf.fock qhopf.fock True",
+    ]
+
+
 _LAYER_EXPORTS = {
     "qhopf.hopf": "CoproductWeights HopfOscillator TensorElement antipode_weights build_params "
                   "coproduct_weights g_function proposition1_params structure_function "
