@@ -268,25 +268,33 @@ def _cmd_verify_hopf(vals):
 def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     requested = _int_flag(vals, "max_sector", 6)
     m_max, cap = _sector_limit(requested)
+    rep = CheckReport()
     # each subcommand loads its layers only after the checks that need none,
-    # so a run refused above loads none; numpy and the R-matrix layer load
-    # for verify-rmatrix alone
+    # so a run refused for its sector cap or its parameters loads neither
+    # numpy nor the R-matrix layer, which load for verify-rmatrix alone
+    if oh_singh_mode:
+        from .constraints import param_map_oh_singh
+
+        o = _resolve_ohsingh(vals)
+        params = param_map_oh_singh(o)
+        rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
+                      "max_sector": m_max}
+    else:
+        params = _resolve_params(vals)
+        if params.branch != "generic":
+            raise UsageError(
+                f"the R-matrix needs the generic branch, got {params.branch}")
+        rep.params = params.to_dict()
+        rep.params["max_sector"] = m_max
     import numpy as np
 
     from .fock import (build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
                        compare_sector_operators)
 
-    rep = CheckReport()
     # a numpy overflow, division by zero or invalid operation raises
     # FloatingPointError, an ArithmeticError, instead of warning
     with np.errstate(all="raise", under="ignore"):
         if oh_singh_mode:
-            from .constraints import param_map_oh_singh
-
-            o = _resolve_ohsingh(vals)
-            params = param_map_oh_singh(o)
-            rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
-                          "max_sector": m_max}
             r = build_rmatrix_oh_singh(o, m_max)
             # qt/ judges the general-form R, the one compared with r here
             qt = check_quasitriangularity(params, m_max)
@@ -294,12 +302,6 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
             for m, res in per.items():
                 rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
         else:
-            params = _resolve_params(vals)
-            if params.branch != "generic":
-                raise UsageError(
-                    f"the R-matrix needs the generic branch, got {params.branch}")
-            rep.params = params.to_dict()
-            rep.params["max_sector"] = m_max
             qt = check_quasitriangularity(params, m_max)
             r = qt.rmatrix
         rep.extend(qt, prefix="qt/")

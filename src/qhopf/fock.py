@@ -34,8 +34,18 @@ ill-conditioned block at a high sector cap does not fail a relation that
 holds.  coproduct^op(h) is coproduct(h) read in the leg-swapped basis: the
 swap |n1, n2> -> |n2, n1> reverses the basis of every 2-leg sector.
 
-Coefficient functions are evaluated by ``ExpPoly.evaluate`` alone, which
-owns the exponent cap; this module holds no evaluator or cap of its own.
+The entries of ``represent_tensor`` and of the R blocks are formed for all
+sectors at once as element-wise array products and placed into one flat
+vector of the blocks by index arithmetic.  Each exponential and power goes
+into a table once per level (or per argument the per-entry formula reads):
+coefficient functions through ``ExpPoly.level_tables``, which shares its
+factors with ``ExpPoly.evaluate`` and alone applies the exponent cap; this
+module holds no evaluator or cap of its own.  Every complex product is
+taken from real and imaginary parts (``_mul``), as a Python or numpy scalar
+product is, so the blocks are bit for bit those of evaluating entry by
+entry (the sign and payload of a nan aside); an error is the one that
+entry-by-entry order meets first (``_FirstError``), and the arrays
+themselves never warn.
 """
 
 import cmath
@@ -257,15 +267,165 @@ class SectorOperator:
         return cls(payload["legs"], payload["degree"], blocks)
 
 
+# ------------------------------------------------------ whole-array entries
+def _mul(x, y):
+    """The product of complex numbers given as (re, im) pairs of float arrays
+    or floats: (xr yr - xi yi, xr yi + xi yr), the operations of a Python or
+    a numpy scalar complex product, so entry by entry the same bits.  numpy's
+    complex array multiply fuses multiply-adds where the host has them and
+    can differ in the last bit."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _parts(z):
+    """(re, im) of a complex array."""
+    return z.real, z.imag
+
+
+def _flags(fn, x, y):
+    """Per row, the flags the numpy scalar ``fn(x, y)`` (a complex product or
+    sum of (re, im) pairs) sets in its real products and sums: overflow where
+    finite operands give inf, invalid where operands that are not nan give
+    nan."""
+    (xr, xi), (yr, yi) = x, y
+    if fn is operator.add:
+        steps = [(xr, yr, xr + yr), (xi, yi, xi + yi)]
+    else:
+        p = xr * yr, xi * yi, xr * yi, xi * yr
+        steps = [(xr, yr, p[0]), (xi, yi, p[1]), (xr, yi, p[2]), (xi, yr, p[3]),
+                 (p[0], p[1], p[0] - p[1]), (p[2], p[3], p[2] + p[3])]
+    over = invalid = np.zeros(np.shape(xr), dtype=bool)
+    for a, b, r in steps:
+        over = over | (np.isinf(r) & np.isfinite(a) & np.isfinite(b))
+        invalid = invalid | (np.isnan(r) & ~np.isnan(a) & ~np.isnan(b))
+    return {"over": over, "invalid": invalid}
+
+
+class _FirstError:
+    """The error a per-entry loop meets first, for entries computed instead
+    as whole arrays under ``np.errstate(all="ignore")``, which, like Python
+    complex arithmetic, neither warns nor raises.
+
+    Each step of the loop that can raise is noted with its rows: ``keys``
+    ranks each row in the loop's order and ``rank`` (one, or one per row)
+    the step within its row.
+
+    * ``call``: a call that raised while a table was built; ``again(i)``
+      makes it again for row i, and raises.
+    * ``op``: a numpy scalar product or sum of the loop, with the operands as
+      (re, im) pairs, per row or, given ``at``, per table entry.  It raises
+      where it sets the overflow or invalid flag and the caller's errstate,
+      read on construction, says "raise" for that flag; underflow, which the
+      CLI ignores, is not reported.
+
+    ``raise_first(result)`` raises what the loop would have raised first:
+    it makes the noted steps again, in the loop's order, the call or the one
+    numpy scalar operation under the caller's errstate, until one raises.  A
+    flag leaves inf or nan behind, which every later product and sum keeps,
+    so when the (re, im) pair ``result`` is finite no step set one and the
+    operands are not examined.
+    """
+
+    def __init__(self):
+        errstate = np.geterr()
+        self.trips = [flag for flag in ("over", "invalid") if errstate[flag] == "raise"]
+        self.calls, self.ops = [], []
+
+    def call(self, keys, rank, again):
+        if len(keys):
+            self.calls.append((keys, rank, again))
+
+    def op(self, keys, rank, fn, x, y, at=None):
+        self.ops.append((keys, rank, fn, x, y, at))
+
+    def raise_first(self, result):
+        found = list(self.calls)
+        if self.trips and not all(np.isfinite(part).all() for part in result):
+            for keys, rank, fn, x, y, at in self.ops:
+                with np.errstate(all="ignore"):
+                    x, y = ([np.broadcast_to(part if at is None else part[at], keys.shape)
+                             for part in z] for z in (x, y))
+                    flags = _flags(fn, x, y)
+                hit = np.flatnonzero(sum(flags[flag] for flag in self.trips))
+                found.append((keys[hit], np.broadcast_to(rank, keys.shape)[hit],
+                              lambda i, x=x, y=y, hit=hit, fn=fn: fn(
+                                  *(np.complex128(complex(z[0][hit[i]], z[1][hit[i]]))
+                                    for z in (x, y)))))
+        steps = sorted((key, r, k, i) for k, (keys, rank, _) in enumerate(found)
+                       for i, (key, r) in enumerate(zip(
+                           keys.tolist(), np.broadcast_to(rank, keys.shape).tolist())))
+        for *_, k, i in steps:
+            found[k][2](i)
+
+
+def _table(first, keys, rank, fn, grid, index):
+    """``fn(*args)`` for each argument tuple of ``grid``, read per row at
+    ``index``, as an (re, im) pair: each call the per-entry loop makes, made
+    once.  A call that raises holds nan and is noted to ``first`` for its
+    rows."""
+    values, failed = [], []
+    for i, args in enumerate(grid):
+        try:
+            values.append(fn(*args))
+        except (ArithmeticError, ValueError):
+            values.append(math.nan)
+            failed.append(i)
+    if failed:
+        rows = np.flatnonzero(np.isin(index, failed))
+        first.call(keys[rows], np.broadcast_to(rank, keys.shape)[rows],
+                   lambda i: fn(*grid[index[rows[i]]]))
+    return _parts(np.array(values, dtype=complex)[index])
+
+
+def _state_index(states):
+    """Position of each state (a row of leg levels) in ``sector_states`` of
+    its sector: n2 on two legs, d(d + 1)/2 + n3 with d = n2 + n3 on three."""
+    d = states[:, 1:].sum(axis=1)
+    return d if states.shape[1] == 2 else d * (d + 1) // 2 + states[:, 2]
+
+
+def _coefficients(poly, levels, first, keys):
+    """``poly.evaluate`` at each row of ``levels`` from its level tables, with
+    the products and sums of ``evaluate`` in its order, as an (re, im) pair;
+    a row where ``evaluate`` raises is noted to ``first`` as a call."""
+    total = np.zeros(len(levels)), np.zeros(len(levels))
+    bad, arrays = None, {}
+    for c, factors in poly.level_tables(int(levels.max(initial=0))):
+        val = c.real, c.imag
+        for (exps, powers), v in zip(factors, levels.T):
+            if id(exps) not in arrays:
+                arrays[id(exps)] = (*_parts(np.array([math.nan if e is None else e for e in exps],
+                                                     dtype=complex)),
+                                    np.array([e is None for e in exps]) if None in exps else None)
+            re, im, missing = arrays[id(exps)]
+            if missing is not None:
+                bad = missing[v] if bad is None else bad | missing[v]
+            val = _mul(val, (re[v], im[v]))
+            if powers is not None:
+                val = _mul(val, _parts(np.array(powers, dtype=complex)[v]))
+        total = total[0] + val[0], total[1] + val[1]
+    if bad is not None:
+        rows = np.flatnonzero(bad)
+        first.call(keys[rows], 0, lambda i: poly.evaluate(*levels[rows[i]].tolist()))
+    return total
+
+
 def represent_tensor(t, params, m_max):
     """SectorOperator of a tensor element on sectors 0..m_max of the
     parameter pack ``params`` (only its structure values are needed).
 
     All terms must share one total level shift; the blocks are exact because
     sectors are closed under the action.  Each term is evaluated only on the
-    states it reaches, its coefficient by ``ExpPoly.evaluate`` at the levels
-    of the state: an exponent past the cap there raises EvaluationOverflow,
-    one at a level that no reachable state reads is never evaluated.
+    states it reaches, of all sectors at once: its coefficient from the
+    level tables of ``ExpPoly.level_tables`` (the factors of
+    ``ExpPoly.evaluate``), times the ladder amplitudes of each leg, placed
+    into one flat vector of the blocks by index arithmetic.  The entries
+    have the bits of evaluating state by state, in the order (sector, term,
+    state) with each entry summing its terms in order, and an error is the
+    one that order meets first (``_FirstError``): an exponent past the cap
+    raises EvaluationOverflow from ``ExpPoly.evaluate``, one at a level that
+    no reachable state reads is never reported.
     """
     degrees = t.degrees()
     if len(degrees) > 1:
@@ -282,43 +442,81 @@ def represent_tensor(t, params, m_max):
 
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, max_r)
 
-    # Term by term, only the states a term reaches: st = lows + mids with mids
-    # in the sector of level m - sum(lows).  Each entry still takes its
-    # contributions in term order.
-    states_at = [sector_states(n, legs) for n in range(m_max + 1)]
-    blocks = {}
-    for m in range(m_max + 1):
-        source = {st: j for j, st in enumerate(states_at[m])}
-        target = {st: i for i, st in enumerate(sector_states(m + degree, legs))}
-        block = np.zeros((len(target), len(source)), dtype=complex)
-        for lows, highs, poly in terms:
-            rest = m - sum(lows)
-            if rest < 0:
-                continue
-            for mids in states_at[rest]:
-                amp = poly.evaluate(*mids)
-                if amp == 0:
-                    continue
-                st = tuple(map(operator.add, lows, mids))
-                for n, s, mid, r in zip(st, lows, mids, highs):
-                    amp *= lower_amp[n][s] * raise_amp[mid][r]
-                block[target[tuple(map(operator.add, mids, highs))], source[st]] += amp
-        blocks[m] = block
-    return SectorOperator(legs, degree, blocks)
+    # Every state of sectors 0..m_max in sector_states order: sector n holds
+    # (n - a, a) on two legs and (n - a, a - b, b), b <= a, on three.  A term
+    # reaches st = lows + mids of sector m from the mids of sector
+    # m - sum(lows).
+    k = np.arange(m_max + 1)
+    if legs == 2:
+        level, a = np.nonzero(k[:, None] >= k)
+        states = np.stack([level - a, a], axis=1)
+    else:
+        level, a, b = np.nonzero((k[:, None, None] >= k[:, None]) & (k[:, None] >= k))
+        states = np.stack([level - a, a - b, b], axis=1)
+    index = _state_index(states)
+    cols = [sector_dim(m, legs) for m in range(m_max + 1)]
+    rows = [sector_dim(m + degree, legs) for m in range(m_max + 1)]
+    offset = np.cumsum([0] + [r * c for r, c in zip(rows, cols)])
+    start, cols = np.cumsum([0] + cols), np.array(cols)
+    flat = np.zeros(offset[-1], dtype=complex)
+    ladders = {}
+    first = _FirstError()
+    with np.errstate(all="ignore"):
+        for i, (lows, highs, poly) in enumerate(terms):
+            mids = states[:start[max(m_max - sum(lows) + 1, 0)]]
+            m = level[:len(mids)] + sum(lows)
+            # rank in the order (sector, term, state)
+            keys = (m * len(terms) + i) * len(states) + index[:len(mids)]
+            amp = _coefficients(poly, mids, first, keys)
+            # a zero coefficient adds nothing
+            live = (amp[0] != 0) | (amp[1] != 0)
+            if not live.all():
+                live = np.flatnonzero(live)
+                amp = amp[0][live], amp[1][live]
+                mids, m, keys = mids[live], m[live], keys[live]
+            # Each leg multiplies lower_amp[n][s] * raise_amp[mid][r] in, one
+            # table per (s, r) over mid.  A factor of 1 (s = r = 0) is a
+            # Python complex, every other one a numpy scalar, and from the
+            # first of those on the product is too.
+            scalar = False
+            for j, (s, r) in enumerate(zip(lows, highs)):
+                if (s, r) not in ladders:
+                    lo, hi = [_parts(np.array(column, dtype=complex)) for column in (
+                        [lower_amp[v + s][s] for v in range(m_max + 1 - s)],
+                        [raise_amp[v][r] for v in range(m_max + 1 - s)])]
+                    ladders[s, r] = lo, hi, _mul(lo, hi)
+                lo, hi, table = ladders[s, r]
+                v = mids[:, j]
+                if s or r:
+                    scalar = True
+                    first.op(keys, 1 + 2 * j, operator.mul, lo, hi, at=v)
+                ladder = table[0][v], table[1][v]
+                if scalar:
+                    first.op(keys, 2 + 2 * j, operator.mul, amp, ladder)
+                amp = _mul(amp, ladder)
+            # the target mids + highs of sector m + degree, the source
+            # mids + lows of sector m
+            pos = (offset[m] + _state_index(mids + highs) * cols[m]
+                   + _state_index(mids + lows))
+            here = flat.real[pos], flat.imag[pos]
+            first.op(keys, 1 + 2 * legs, operator.add, here, amp)
+            flat.real[pos], flat.imag[pos] = here[0] + amp[0], here[1] + amp[1]
+    first.raise_first(_parts(flat))
+    return SectorOperator(legs, degree, {m: flat[offset[m]:offset[m + 1]].reshape(rows[m], cols[m])
+                                         for m in range(m_max + 1)})
 
 
 # ------------------------------------------------------------------ R-matrix
 class _RMatrixAmplitude:
-    """Entrywise evaluator of the universal R-matrix in the general form.
+    """The entries of the universal R-matrix in the general form.
 
-    amp(n1, n2, n) is the amplitude taking |n1, n2> to |n1-n, n2+n|:
-    the diagonal prefactor X^{-2(N+gamma)(x)(N+gamma)} evaluated at the
-    target, times the n-th series term
+    The amplitude taking |n1, n2> to |n1-n, n2+n> is the n-th series term
 
         (1-X^2)^n / [n]_X!  X^{-n(n-1)/2} Y^n lambda^{-2n}
         (XY)^{n(n1-n2) - n(n+1)}  sqrt(F(n1)..F(n1-n+1)) sqrt(F(n2+1)..F(n2+n))
 
-    with X = e^{kappa/2}, XY = e^{kappa1}, [n]_X = (X^n - X^-n)/(X - X^-1).
+    times the diagonal prefactor X^{-2(N+gamma)(x)(N+gamma)} evaluated at the
+    target, with X = e^{kappa/2}, XY = e^{kappa1}, [n]_X = (X^n - X^-n)/(X - X^-1).
     """
 
     def __init__(self, params, n_max, lambda_sq=None):
@@ -345,20 +543,60 @@ class _RMatrixAmplitude:
                      * lam2 ** (-n))
             self.series.append(coeff)
 
-    def __call__(self, n1, n2, n):
-        if n > n1 or n > self.n_max:
-            return 0j
+    def entries(self, n1, n2, n, keys, first):
+        """The (re, im) amplitudes of the entries (n1, n2, n), arrays with n
+        descending and n <= n1, n1 + n2 <= n_max, at the ranks ``keys`` of
+        the per-entry loop.  An entry takes c_n, then (XY)^(..), then for each
+        t < n the sqrt(F) pair (a numpy scalar product) into the amplitude,
+        then the prefactor; each exponential comes from a table, one per
+        exponent and one per target."""
         p = self.params
-        amp = self.series[n]
-        amp *= cmath.exp(p.kappa1 * (n * (n1 - n2) - n * (n + 1)))
-        for t in range(n):
-            amp *= self.sqrt_f[n1 - t] * self.sqrt_f[n2 + 1 + t]
-        amp *= cmath.exp(-p.kappa * (n1 - n + p.gamma) * (n2 + n + p.gamma))
-        return amp
+        top = int((n1 + n2).max(initial=0))
+        # (XY)^{n d - n(n + 1)} for d = n1 - n2 in 2n - top..top, per (n, d)
+        amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
+            first, keys, 0, lambda n, d: cmath.exp(p.kappa1 * (n * d - n * (n + 1))),
+            [(n, d) for n in range(top + 1) for d in range(2 * n - top, top + 1)],
+            n * (2 * top - n + 2) + n1 - n2 - 2 * n + top))
+        # the sqrt(F) pair of each t < n, all at once, t by t: n descends, so
+        # the entries with n > t are the first counts[t]
+        t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
+        x = tuple(part[n1[row] - t] for part in _parts(self.sqrt_f))
+        y = tuple(part[n2[row] + 1 + t] for part in _parts(self.sqrt_f))
+        first.op(keys[row], 1 + 2 * t, operator.mul, x, y)
+        amp = _times_pairs(amp, _mul(x, y), np.bincount(t), keys, first)
+        # at the target |t1, t2> of sector m = t1 + t2
+        t1, m = n1 - n, n1 + n2
+        prefactor = _table(
+            first, keys, 1 + 2 * n,
+            lambda t1, t2: cmath.exp(-p.kappa * (t1 + p.gamma) * (t2 + p.gamma)),
+            [(t1, m - t1) for m in range(top + 1) for t1 in range(m + 1)],
+            m * (m + 1) // 2 + t1)
+        # a Python product where n = 0, a numpy scalar one otherwise
+        c = np.count_nonzero(n)
+        first.op(keys[:c], 2 + 2 * n[:c], operator.mul, (amp[0][:c], amp[1][:c]),
+                 (prefactor[0][:c], prefactor[1][:c]))
+        return _mul(amp, prefactor)
+
+
+def _times_pairs(amp, pairs, counts, keys, first=None):
+    """The amplitudes ``amp`` times their sqrt(F) pairs, t by t: ``pairs``
+    holds, for t = 0, 1, .., one pair for each of the first counts[t]
+    entries.  Noted to ``first`` as numpy scalar products, when given."""
+    out = tuple(part.copy() for part in amp)
+    start = 0
+    for t, c in enumerate(counts.tolist()):
+        head = amp[0][:c], amp[1][:c]
+        pair = pairs[0][start:start + c], pairs[1][start:start + c]
+        if first is not None:
+            first.op(keys[:c], 2 + 2 * t, operator.mul, head, pair)
+        amp = _mul(head, pair)
+        out[0][:c], out[1][:c] = amp
+        start += c
+    return out
 
 
 class _OhSinghAmplitude:
-    """Entrywise evaluator of the R-matrix in the q-oscillator form.
+    """The entries of the R-matrix in the q-oscillator form.
 
     Everything is computed from (eps, alpha, beta, k) alone: the scalar
     prefactor, the diagonal legs q^{-alpha N (x) N} q^{-(beta+1/2+i(2k+1)pi/
@@ -396,31 +634,61 @@ class _OhSinghAmplitude:
                        * cmath.exp(-eps * alpha * n * (n - 3) / 4)
                        for n in range(n_max + 1)]
 
-    def __call__(self, n1, n2, n):
-        if n > n1 or n > self.n_max:
-            return 0j
-        eps, alpha = self.eps, self.alpha
-        amp = self.series[n]
-        amp *= cmath.exp(eps * alpha / 2 * (n * n1 - n * (n + 1) / 2))
-        amp *= cmath.exp(-eps * alpha / 2 * (n * n2 + n * (n + 1) / 2))
-        for t in range(n):
-            amp *= self.sqrt_f[n1 - t] * self.sqrt_f[n2 + 1 + t]
+    def entries(self, n1, n2, n, keys, first):
+        """The (re, im) amplitudes of the entries (n1, n2, n), as for the
+        general form: c_n, the two series exponentials, the sqrt(F) pair of
+        each t < n, the scalar prefactor with q^{-alpha t1 t2} and the leg
+        exponential, all Python products, each exponential from a table."""
+        eps, alpha, sqrt_f = self.eps, self.alpha, self.sqrt_f
+        top = int((n1 + n2).max(initial=0))
+        # (n, n1) with n <= n1, and (n, n2) with n + n2 <= top
+        upper = [(n, n1) for n1 in range(top + 1) for n in range(n1 + 1)]
+        lower = [(n, s - n) for s in range(top + 1) for n in range(s + 1)]
+        amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
+            first, keys, 0,
+            lambda n, n1: cmath.exp(eps * alpha / 2 * (n * n1 - n * (n + 1) / 2)),
+            upper, n1 * (n1 + 1) // 2 + n))
+        amp = _mul(amp, _table(
+            first, keys, 1,
+            lambda n, n2: cmath.exp(-eps * alpha / 2 * (n * n2 + n * (n + 1) / 2)),
+            lower, (n + n2) * (n + n2 + 1) // 2 + n))
+        # the sqrt(F) pair (u, w) = (n1 - t, n2 + 1 + t) of each t < n, with
+        # u + w <= top + 1, by t as for the general form
+        pairs = _parts(np.array([complex(sqrt_f[u] * sqrt_f[d - u]) for d in range(2, top + 2)
+                                 for u in range(1, d)], dtype=complex))
+        t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
+        u, d = n1[row] - t, n1[row] + n2[row] + 1
+        amp = _times_pairs(amp, tuple(part[(d - 2) * (d - 1) // 2 + u - 1] for part in pairs),
+                           np.bincount(t), keys)
         t1, t2 = n1 - n, n2 + n
-        amp *= self.scalar * cmath.exp(-eps * alpha * t1 * t2)
-        amp *= cmath.exp(-self.leg_exponent * (t1 + t2))
-        return amp
+        amp = _mul(amp, _table(
+            first, keys, 2, lambda t1, t2: self.scalar * cmath.exp(-eps * alpha * t1 * t2),
+            lower, (t1 + t2) * (t1 + t2 + 1) // 2 + t1))
+        return _mul(amp, _table(
+            first, keys, 3, lambda m: cmath.exp(-self.leg_exponent * m),
+            [(m,) for m in range(top + 1)], t1 + t2))
 
 
 def _blocks_from_amplitude(amp, m_max):
-    blocks = {}
-    for m in range(m_max + 1):
-        states = sector_states(m, 2)
-        block = np.zeros((m + 1, m + 1), dtype=complex)
-        for j, (n1, n2) in enumerate(states):
-            for n in range(n1 + 1):
-                block[j + n, j] += amp(n1, n2, n)
-        blocks[m] = block
-    return SectorOperator(2, 0, blocks)
+    """The 2-leg R blocks of sectors 0..m_max from ``amp.entries``: entry
+    (j + n, j) of sector m takes |m - j, j> to |m - j - n, j + n>, placed
+    into one flat vector of the blocks.  The entries go in by n descending,
+    keyed by their place in the order (m, j, n) of a per-entry loop, whose
+    first error is the one raised."""
+    k = np.arange(m_max + 1)
+    n, m, j = np.nonzero(np.subtract.outer(k[::-1], np.subtract.outer(k, k)) <= 0)
+    n = m_max - n
+    keys = m * (m + 1) * (m + 2) // 6 + j * (m + 1) - j * (j - 1) // 2 + n
+    first = _FirstError()
+    with np.errstate(all="ignore"):
+        re, im = amp.entries(m - j, j, n, keys, first)
+    first.raise_first((re, im))
+    flat = np.zeros((m_max + 1) * (m_max + 2) * (2 * m_max + 3) // 6, dtype=complex)
+    pos = m * (m + 1) * (2 * m + 1) // 6 + (j + n) * (m + 1) + j
+    # as 0j + amplitude, which turns -0.0 into 0.0
+    flat.real[pos], flat.imag[pos] = 0.0 + re, 0.0 + im
+    return SectorOperator(2, 0, {s: flat[s * (s + 1) * (2 * s + 1) // 6:][:(s + 1) ** 2]
+                                 .reshape(s + 1, s + 1) for s in range(m_max + 1)})
 
 
 # the leg pairs of the embeddings R12, R13 and R23

@@ -520,10 +520,12 @@ _LAYER_EXPORTS = {
 def test_each_subcommand_loads_only_its_layers():
     # Each call is a fresh process.  Importing the CLI loads no layer, and a
     # subcommand loads only the layers it runs: a run refused during
-    # validation none, tabulate and the general verify-rmatrix not the
-    # constraints layer, only verify-rmatrix numpy, and none of them scipy or
-    # dataclasses.  After the import alone, every exported name resolves from
-    # qhopf to the layer that defines it, and dir(qhopf) lists it.
+    # validation none, a verify-rmatrix refused for its parameters neither
+    # numpy nor the R-matrix layer, tabulate and the general verify-rmatrix
+    # not the constraints layer, only verify-rmatrix numpy, and none of them
+    # scipy or dataclasses.  After the import alone, every exported name
+    # resolves from qhopf to the layer that defines it, and dir(qhopf) lists
+    # it.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("QHOPF_MAX_SECTOR", None)
     code = """if True:
@@ -550,6 +552,11 @@ def test_each_subcommand_loads_only_its_layers():
     runs = [
         ((), ""),
         (("verify-rmatrix", *osc, "--max-sector", "-1"), "2 True"),
+        # refused for their parameters: mixed styles, and a pack off the
+        # generic branch, whose resolution loads the Hopf layer only
+        (("verify-rmatrix", "--kappa1", "0.3", "--eps", "0.5", "--alpha", "1"), "2 True"),
+        (("verify-rmatrix", "--kappa1", "0.3", "--kappa2", "0.3", "--gamma1", "1"),
+         f"2 True {layers}"),
         (("tabulate", *osc), f"0 False {layers}"),
         (("verify-rmatrix", *osc, "--max-sector", "2"), f"0 False numpy {layers} qhopf.fock"),
         (("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),

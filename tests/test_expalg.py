@@ -241,6 +241,43 @@ def test_evaluate_arity_checked():
     assert f(1.0, 2.0) == 1.0
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_level_tables_give_the_bits_of_evaluate(arity):
+    # evaluate at every point of levels 0..top, taken from the tables with
+    # evaluate's products and sums, has evaluate's bits; an exponential
+    # factor is None exactly where evaluate raises, at |mu*V| past the cap
+    rng = random.Random(arity)
+    terms = {}
+    for _ in range(4):
+        key = tuple((complex(rng.choice([0.0, 0.3, -7.5, 12.0]), rng.uniform(-2, 2)),
+                     rng.randint(0, 2)) for _ in range(arity))
+        terms[key] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    f, top = ExpPoly(arity, terms), 6
+    tables = f.level_tables(top)
+    assert [c for c, _ in tables] == list(f.terms.values())
+    for point in itertools.product(range(top + 1), repeat=arity):
+        factors = [[leg[0][v] for leg, v in zip(legs, point)] for _, legs in tables]
+        if any(e is None for row in factors for e in row):
+            with pytest.raises(EvaluationOverflow):
+                f.evaluate(*point)
+            continue
+        total = 0j
+        for c, legs in tables:
+            val = c
+            for (exps, powers), v in zip(legs, point):
+                val *= exps[v]
+                if powers is not None:
+                    val *= powers[v]
+            total += val
+        got = f.evaluate(*point)
+        assert (got.real, got.imag) == (total.real, total.imag)
+        assert math.copysign(1, got.real) == math.copysign(1, total.real)
+        assert math.copysign(1, got.imag) == math.copysign(1, total.imag)
+    for (mu_k, (exps, _)) in zip(next(iter(f.terms)), tables[0][1]):
+        assert [e is None for e in exps] == [abs(mu_k[0] * v) > EXP_ARG_CAP
+                                           for v in range(top + 1)]
+
+
 def test_evaluation_homomorphism():
     rng = random.Random(3)
     f = random_poly(rng, n_terms=5)

@@ -10,6 +10,8 @@ from qhopf import (FockWindow, HopfOscillator, NonUnitarizableWindowError,
                    proposition1_params, represent_tensor, sector_dim, sector_states,
                    structure_function_values)
 from qhopf.expalg import EvaluationOverflow, ExpPoly
+from qhopf.hopf import TensorElement
+import loop_reference
 from series_reference import series_tensor_terms
 
 
@@ -239,14 +241,29 @@ def reference_represent_tensor(t, params, m_max):
     return blocks
 
 
+CONFTEST_PACKS = ["prop1_params", "generic_params", "generic_complex_params",
+                  "degenerate_params", "gamma_zero_params"]
+
+
 @pytest.mark.parametrize("which", ["split-left", "split-right", "mixed-monomial",
-                                   "three-leg-lowering"])
-def test_represent_tensor_equals_reference_loop(which):
-    # a non-Hermitian pack, so the principal complex square roots are exercised
+                                   "three-leg-lowering"]
+                         + [f"coproduct-{h}-{pack}" for h in ("a", "adag", "N")
+                            for pack in CONFTEST_PACKS])
+def test_represent_tensor_equals_reference_loop(which, request):
+    # Every block has the bytes of both per-state loops, signed zeros
+    # included.  The coproducts of a, adag and N run on the five conftest
+    # packs, the other elements on a non-Hermitian pack, so that the
+    # principal complex square roots are exercised.
     from qhopf.fock import _RMatrixAmplitude
-    p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j)
+    if which.startswith("coproduct-"):
+        _, h, pack = which.split("-", 2)
+        p = request.getfixturevalue(pack)
+    else:
+        p = build_params(0.5 + 0.2j, 0.05 + 0.05j, 0.7 - 0.3j, 1.2 + 0.2j)
     alg = HopfOscillator(p)
-    if which == "mixed-monomial":
+    if which.startswith("coproduct-"):
+        t = alg.coproduct({"a": alg.lowering(), "adag": alg.raising(), "N": alg.number_op()}[h])
+    elif which == "mixed-monomial":
         # legs carrying both a- and adag-powers, so neither ladder factor is 1
         t = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
     elif which == "three-leg-lowering":
@@ -260,8 +277,10 @@ def test_represent_tensor_equals_reference_loop(which):
         t = alg.coproduct_on_leg(series_tensor_terms(alg, _RMatrixAmplitude(p, 12), 12), leg)
     got = represent_tensor(t, p, 12)
     want = reference_represent_tensor(t, p, 12)
+    loop = loop_reference.represent_tensor(t, p, 12)
     for m in range(13):
-        assert np.array_equal(got.blocks[m], want[m])
+        assert got.blocks[m].tobytes() == want[m].tobytes(), m
+        assert loop_reference.same_bits(got.blocks[m], loop.blocks[m]), m
 
 
 def test_represent_tensor_reports_the_first_overflow(generic_params):
@@ -286,3 +305,39 @@ def test_represent_tensor_ignores_an_overflow_no_state_reaches(generic_params):
     with pytest.raises(EvaluationOverflow):
         t.terms[((0, 2), (0, 0))].evaluate(10, 0)
     assert represent_tensor(t, generic_params, 10).sectors() == list(range(11))
+
+
+def later_cap_element(params, which):
+    """A 2-leg element whose first exponent past the cap, in the order
+    (sector, term, state, exponent-polynomial term, leg), is not the first in
+    term, exponent-polynomial term or leg order; and the |mu*V| of that one."""
+    alg = HopfOscillator(params)
+    if which == "later-term":
+        # term 1 (x) e^{5.5 N} passes the cap on |0,10> of sector 10, the
+        # later term adag e^{6.5 N} a (x) 1 on |9,0> of sector 9
+        return (alg.tensor_join(alg.one(), alg.from_function(ExpPoly.exponential(5.5)))
+                + alg.tensor_join(alg.monomial(1, 1, ExpPoly.exponential(6.5)), alg.one())), 52
+    if which == "later-leg":
+        # e^{5.2 N} (x) e^{6 N}: leg 0 passes the cap from level 10, leg 1
+        # from level 9, on |0,9> of sector 9
+        f = ExpPoly.exponential(5.2, 2, 0) * ExpPoly.exponential(6.0, 2, 1)
+    else:
+        # e^{5.2 N} (x) 1 + 1 (x) e^{6 N} in one coefficient: its first
+        # exponential term passes the cap from |10,0> on, the later one on
+        # |0,9> of sector 9
+        f = ExpPoly.exponential(5.2, 2, 0) + ExpPoly.exponential(6.0, 2, 1)
+    return TensorElement(alg, 2, {((0, 0), (0, 0)): f}), 54
+
+
+@pytest.mark.parametrize("which", ["later-term", "later-leg", "later-exponential-term"])
+def test_represent_tensor_reports_the_overflow_met_first_state_by_state(which,
+                                                                        generic_params):
+    # the error is the one the per-state loop meets first, not the first one
+    # of a term's, a leg's or an exponential term's level table
+    t, cap = later_cap_element(generic_params, which)
+    message = rf"^\|mu\*V\| = {cap} exceeds the exponent cap 50$"
+    with pytest.raises(EvaluationOverflow, match=message):
+        represent_tensor(t, generic_params, 10)
+    with pytest.raises(EvaluationOverflow, match=message):
+        loop_reference.represent_tensor(t, generic_params, 10)
+    assert represent_tensor(t, generic_params, 8).sectors() == list(range(9))

@@ -88,3 +88,28 @@ def test_rmatrix_relations_hold_on_generic_complex_packs(p):
     # identity by roundoff, up to 1e-5
     ybe = check_yang_baxter(qt.rmatrix, 4)
     assert ybe.passed, [(c.name, c.residual) for c in ybe.failures()]
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.data())
+def test_represent_tensor_equals_state_loop(data):
+    # the coproduct of the terms of one level shift of an element, on two
+    # legs, and on three legs once more on either leg: the blocks have the
+    # bytes of the per-state loop
+    from qhopf import represent_tensor
+    import loop_reference
+
+    algebra = HopfOscillator(data.draw(generic_complex_packs()))
+    x = data.draw(elements(algebra))
+    degree = data.draw(st.sampled_from(sorted({r - s for r, s in x.terms}) or [0]))
+    x = sum((algebra.monomial(r, s, f) for (r, s), f in x.terms.items() if r - s == degree),
+            algebra.scalar(0.0))
+    t = algebra.coproduct(x)
+    if data.draw(st.booleans()):
+        t = algebra.coproduct_on_leg(t, data.draw(st.integers(0, 1)))
+    m_max = data.draw(st.integers(0, 8))
+    got = represent_tensor(t, algebra.params, m_max)
+    want = loop_reference.represent_tensor(t, algebra.params, m_max)
+    assert got.sectors() == want.sectors()
+    for m in want.sectors():
+        assert loop_reference.same_bits(got.blocks[m], want.blocks[m]), m

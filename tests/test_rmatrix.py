@@ -14,6 +14,7 @@ from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _coproduct_splits,
                         _embed_pair, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
 from qhopf.hopf import HopfOscillator, TensorElement
+from loop_reference import amplitude
 from series_reference import series_tensor_terms, split_prefactor
 
 
@@ -50,14 +51,14 @@ def test_series_cutoff_is_exact(generic_params):
     for n1 in range(4):
         for n2 in range(3):
             for n in range(n1 + 1, 12):
-                assert amp(n1, n2, n) == 0
+                assert amplitude(amp, n1, n2, n) == 0
     long_amp = _RMatrixAmplitude(generic_params, 12)
     short = build_rmatrix(generic_params, 5)
     for m, block in short.blocks.items():
         rebuilt = np.zeros_like(block)
         for j, (n1, n2) in enumerate([(m - t, t) for t in range(m + 1)]):
             for n in range(min(12, m - j) + 1):
-                rebuilt[min(j + n, m), j] += long_amp(n1, n2, n)
+                rebuilt[min(j + n, m), j] += amplitude(long_amp, n1, n2, n)
         assert np.max(np.abs(rebuilt - block)) == 0
 
 
@@ -252,7 +253,7 @@ def test_embeddings_refuse_what_they_cannot_embed(operator, message):
 def test_yang_baxter_vacuum_scalar(generic_params):
     p = generic_params
     amp = _RMatrixAmplitude(p, 1)
-    scalar = amp(0, 0, 0)
+    scalar = amplitude(amp, 0, 0, 0)
     assert scalar == pytest.approx(cmath.exp(-p.kappa * p.gamma**2))
 
 
@@ -275,7 +276,7 @@ def test_real_form_equivalence_spot():
 def test_oh_singh_vacuum_is_scalar_prefactor():
     o = OhSinghParams(0.5, 1.2, 0.3, 0)
     amp = _OhSinghAmplitude(o, 2)
-    assert amp(0, 0, 0) == pytest.approx(amp.scalar)
+    assert amplitude(amp, 0, 0, 0) == pytest.approx(amp.scalar)
 
 
 def test_oh_singh_k_parity_flips_series_sign():
@@ -386,7 +387,7 @@ def reference_embed_pair(amp, pair, m_max):
                 target = list(st)
                 target[i] -= n
                 target[j] += n
-                block[states.index(tuple(target)), col] += amp(st[i], st[j], n)
+                block[states.index(tuple(target)), col] += amplitude(amp, st[i], st[j], n)
         blocks[m] = block
     return blocks
 
