@@ -273,6 +273,8 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
     # so a run refused for its sector cap or its parameters loads neither
     # numpy nor the R-matrix layer, which load for verify-rmatrix alone
     if oh_singh_mode:
+        # flags of another style beside --oh-singh are refused, not ignored
+        _detect_style(vals)
         from .constraints import param_map_oh_singh
 
         o = _resolve_ohsingh(vals)

@@ -27,13 +27,25 @@ antipode act inside one leg of a tensor element through one leg map, which
 splices the term keys of the image of each leg monomial into that leg's
 place, as ``tensor_join`` splices those of each factor.
 
+The coproduct and the multiplication map work key by key on whole
+coefficient functions, and neither reorders anything.  The coproduct of
+adag^r f(N) a^s is A_i f(N1 + N2 + gamma) C_j at key ((i, j), (r-i, s-j)),
+over the coefficients A_i of coproduct(adag)^r and C_j of coproduct(a)^s:
+on each leg the raising power already stands left of the lowering one.  The
+multiplication map sends a key ((r1, s1), (r2, s2)) with coefficient
+P(N1, N2) to P(N + r2 - j, N + s1 - j) Q_j(N) at key (r1+r2-j, s1+s2-j),
+where a^s1 adag^r2 = sum_j adag^(r2-j) Q_j(N) a^(s1-j): that is the only
+pair out of normal order, and moving the leg functions past the ladder
+powers beside it only shifts their arguments.
+
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function, the powers of coproduct(adag),
 coproduct(a), S(adag) and S(a), the product of each pair of unit leg
-monomials and the image of each leg monomial under the coproduct or the
-antipode, kept once whatever leg it is spliced into; nothing is cached at
-module level.  Each combination of leg products becomes one coefficient
-function in a single ``ExpPoly`` construction, multiplied up leg by leg.
+monomials (which also gives the Q_j) and the image of each leg monomial
+under the coproduct or the antipode, kept once whatever leg it is spliced
+into; nothing is cached at module level.  In ``tensor_product`` each
+combination of leg products becomes one coefficient function in a single
+``ExpPoly`` construction, multiplied up leg by leg.
 
 Three parameter branches are distinguished:
 
@@ -51,7 +63,7 @@ import math
 from functools import cached_property
 from itertools import product as _cartesian
 
-from .expalg import ExpPoly, antidifference, exponent
+from .expalg import ExpPoly, _add as _add_exponents, antidifference, exponent
 from .report import CheckReport
 
 __all__ = [
@@ -237,8 +249,28 @@ def antipode_weights(p):
     )
 
 
+# the leg factor exp(0 * N) N^0 of a unit leg monomial
+_UNIT_PIECE = (exponent(), 0)
+
+
 def _acc(store, key, poly):
     store[key] = store[key] + poly if key in store else poly
+
+
+def _pair_product(p, q):
+    """p * q with the scale of the separable products of ``tensor_product``:
+    the largest |c1 c2| over the term pairs, where ``p * q`` takes p.scale *
+    q.scale."""
+    raw, scale = {}, 0.0
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            c = c1 * c2
+            if abs(c) > scale:
+                scale = abs(c)
+            nk = tuple([(_add_exponents(m1, m2), n1 + n2)
+                        for (m1, n1), (m2, n2) in zip(k1, k2)])
+            raw[nk] = raw[nk] + c if nk in raw else c
+    return ExpPoly(p.arity, raw, scale=scale, canonical=True)
 
 
 def _spliced(pk, leg, part, c):
@@ -485,6 +517,18 @@ class HopfOscillator:
         """One separable leg factor as a standalone algebra element."""
         return AlgebraElement(self, {rs: ExpPoly(1, {(piece,): 1.0 + 0j}, canonical=True)})
 
+    def _unit_product(self, rs1, piece1, rs2, piece2):
+        """The terms of the product of two unit leg monomials.  The same pair
+        recurs across terms, legs and calls; its product is formed once per
+        instance."""
+        memo_key = (rs1, piece1, rs2, piece2)
+        terms = self._leg_products.get(memo_key)
+        if terms is None:
+            prod = self.product(self._leg_monomial(rs1, piece1),
+                                self._leg_monomial(rs2, piece2))
+            terms = self._leg_products[memo_key] = list(prod.terms.items())
+        return terms
+
     def tensor_product(self, t, u):
         """Componentwise product (x1 (x) x2) (y1 (x) y2) = x1 y1 (x) x2 y2,
         evaluated term by term through the leg separability of the canonical
@@ -492,22 +536,12 @@ class HopfOscillator:
         t._check(u)
         legs = t.legs
         out = {}
-        # The same pair of unit leg monomials recurs across terms, legs and
-        # calls; its product is formed once per instance.
-        leg_products = self._leg_products
         for key1, p1 in t.terms.items():
             for pk1, c1 in p1.terms.items():
                 for key2, p2 in u.terms.items():
                     for pk2, c2 in p2.terms.items():
-                        leg_results = []
-                        for i in range(legs):
-                            memo_key = (key1[i], pk1[i], key2[i], pk2[i])
-                            terms = leg_products.get(memo_key)
-                            if terms is None:
-                                prod = self.product(self._leg_monomial(key1[i], pk1[i]),
-                                                    self._leg_monomial(key2[i], pk2[i]))
-                                terms = leg_products[memo_key] = list(prod.terms.items())
-                            leg_results.append(terms)
+                        leg_results = [self._unit_product(key1[i], pk1[i], key2[i], pk2[i])
+                                       for i in range(legs)]
                         for combo in _cartesian(*leg_results):
                             # the separable product (c1 c2) fp_0(N_0) fp_1(N_1) ..,
                             # multiplied up leg by leg in one construction
@@ -563,13 +597,29 @@ class HopfOscillator:
         return TensorElement(self, legs, terms)
 
     def coproduct(self, x):
-        """Algebra homomorphism determined by its action on the generators."""
+        """Algebra homomorphism determined by its action on the generators.
+
+        A term adag^r f(N) a^s goes to coproduct(adag)^r f(N1 + N2 + gamma)
+        coproduct(a)^s.  The kept powers have the keys ((i, 0), (r - i, 0))
+        and ((0, j), (0, s - j)), so every leg already reads raising, then
+        its function, then lowering: the coefficient A_i of the one and C_j
+        of the other give key ((i, j), (r - i, s - j)) the coefficient
+        A_i(N1, N2) f(N1 + N2 + gamma) C_j(N1, N2), two plain products of
+        coefficient functions and no reordering.  Each product takes the
+        scale ``tensor_product`` gives its separable products, so the
+        result is, bit for bit, the two ``tensor_product`` calls
+        coproduct(adag)^r * f(N1 + N2 + gamma) * coproduct(a)^s.
+        """
         total = TensorElement(self, 2, {})
         for (r, s), f in x.terms.items():
-            cur = TensorElement(self, 2, {((0, 0), (0, 0)): self._coproduct_of_function(f)})
-            cur = self.tensor_product(self._power("raise", r), cur)
-            cur = self.tensor_product(cur, self._power("lower", s))
-            total = total + cur
+            df = self._coproduct_of_function(f)
+            lowering = self._power("lower", s).terms
+            cur = {}
+            for ((i, _), (ri, _)), a_i in self._power("raise", r).terms.items():
+                head = _pair_product(a_i, df)
+                for ((_, j), (_, sj)), c_j in lowering.items():
+                    cur[((i, j), (ri, sj))] = _pair_product(head, c_j)
+            total = total + TensorElement(self, 2, cur)
         return total
 
     def coproduct_on_leg(self, t, leg):
@@ -653,17 +703,29 @@ class HopfOscillator:
 
     # ------------------------------------------------------------- structure
     def multiply_legs(self, t):
-        """Multiplication map on a 2-leg tensor element: x (x) y -> x*y."""
+        """Multiplication map on a 2-leg tensor element: x (x) y -> x*y.
+
+        A key ((r1, s1), (r2, s2)) with coefficient P(N1, N2) stands for
+        adag^r1 f(N) a^s1 adag^r2 g(N) a^s2 summed over the separable terms
+        f(N1) g(N2) of P.  Only a^s1 adag^r2 is out of normal order, and it
+        is sum_j adag^(r2 - j) Q_j(N) a^(s1 - j), the product of two unit leg
+        monomials (Q_0 = 1 alone when s1 = 0 or r2 = 0).  Moving f right
+        past adag^(r2 - j) and g left past a^(s1 - j) shifts their
+        arguments, so the whole key goes, in one substitution, to
+        P(N + r2 - j, N + s1 - j) Q_j(N) at key (r1 + r2 - j, s1 + s2 - j)
+        with no further reordering.
+        """
         if t.legs != 2:
             raise ValueError("multiply_legs expects a 2-leg tensor element")
-        total = AlgebraElement(self, {})
-        for key, poly in t.terms.items():
-            for pk, c in poly.terms.items():
-                m1 = AlgebraElement(self, {key[0]: ExpPoly(1, {(pk[0],): c}, scale=poly.scale,
-                                                           canonical=True)})
-                m2 = self._leg_monomial(key[1], pk[1])
-                total = total + self.product(m1, m2)
-        return total
+        out = {}
+        for ((r1, s1), (r2, s2)), poly in t.terms.items():
+            # (r2 - j, s1 - j) and Q_j over j
+            crossing = (self._unit_product((0, s1), _UNIT_PIECE, (r2, 0), _UNIT_PIECE)
+                        if s1 and r2 else [((r2, s1), None)])
+            for (r, s), q in crossing:
+                f = poly.substitute([({0: 1.0}, r), ({0: 1.0}, s)], 1)
+                _acc(out, (r1 + r, s + s2), f if q is None else f * q)
+        return AlgebraElement(self, out)
 
     # ------------------------------------------------------------------ checks
     def _report_element(self, rep, name, diff, tol):

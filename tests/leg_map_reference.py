@@ -1,12 +1,16 @@
-"""Leg maps built by embedding and multiplying, and the product built pass by
-pass: the references that the key-spliced ``HopfOscillator`` leg maps,
-``tensor_join`` and the one-accumulation ``product`` are compared against.
+"""Leg maps built by embedding and multiplying, the product built pass by
+pass, and the coproduct and the multiplication map built through the general
+products: the references that the key-spliced ``HopfOscillator`` leg maps,
+``tensor_join``, the one-accumulation ``product`` and the key-by-key
+``coproduct`` and ``multiply_legs`` are compared against.
 
 Here a leg factor reaches its place among the legs as a one-variable
 ``ExpPoly`` embedded into the wider arity and multiplied in, and the image
 of a leg monomial is formed afresh for every term, by substitution into
 its legs of the result.  The product moves x past each term of y one
-factor at a time, each factor a pass that builds its own term dict."""
+factor at a time, each factor a pass that builds its own term dict.  The
+coproduct of each term of x is two ``tensor_product`` calls, and the
+multiplication map one normal-ordered ``product`` per separable term."""
 
 from qhopf import TensorElement
 from qhopf.expalg import ZERO, ExpPoly
@@ -94,3 +98,28 @@ def folded_product(alg, x, y):
         for key, f in cur.items():
             _acc(out, key, f)
     return AlgebraElement(alg, out)
+
+
+def folded_coproduct(alg, x):
+    """coproduct(x) as coproduct(adag)^r * f(N1 + N2 + gamma) * coproduct(a)^s
+    for each term adag^r f(N) a^s of x, through two ``tensor_product`` calls."""
+    total = TensorElement(alg, 2, {})
+    for (r, s), f in x.terms.items():
+        cur = TensorElement(alg, 2, {((0, 0), (0, 0)): alg._coproduct_of_function(f)})
+        cur = alg.tensor_product(alg._power("raise", r), cur)
+        cur = alg.tensor_product(cur, alg._power("lower", s))
+        total = total + cur
+    return total
+
+
+def termwise_multiply_legs(alg, t):
+    """The multiplication map x (x) y -> x*y on a 2-leg element, as one
+    normal-ordered product per separable term c f(N1) g(N2) of each key."""
+    total = AlgebraElement(alg, {})
+    for key, poly in t.terms.items():
+        for pk, c in poly.terms.items():
+            m1 = AlgebraElement(alg, {key[0]: ExpPoly(1, {(pk[0],): c}, scale=poly.scale,
+                                                      canonical=True)})
+            m2 = alg.monomial(*key[1], ExpPoly(1, {(pk[1],): 1.0 + 0j}, canonical=True))
+            total = total + alg.product(m1, m2)
+    return total

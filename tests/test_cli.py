@@ -557,6 +557,11 @@ def test_each_subcommand_loads_only_its_layers():
         (("verify-rmatrix", "--kappa1", "0.3", "--eps", "0.5", "--alpha", "1"), "2 True"),
         (("verify-rmatrix", "--kappa1", "0.3", "--kappa2", "0.3", "--gamma1", "1"),
          f"2 True {layers}"),
+        # and mixed styles beside --oh-singh
+        (("verify-rmatrix", "--oh-singh", "--kappa1", "0.3", "--eps", "0.5", "--alpha", "1.2",
+          "--max-sector", "1"), "2 True"),
+        (("verify-rmatrix", "--oh-singh", "--xi", "0.3", "--eps", "0.5", "--alpha", "1.2",
+          "--max-sector", "1"), "2 True"),
         (("tabulate", *osc), f"0 False {layers}"),
         (("verify-rmatrix", *osc, "--max-sector", "2"), f"0 False numpy {layers} qhopf.fock"),
         (("classify", "--xi", "0", "--eta", "0.3", "--gamma1", "0.5", "--gamma2", "0.4"),
@@ -576,6 +581,16 @@ def test_each_subcommand_loads_only_its_layers():
         if not argv:
             assert json.loads(lines[1]) == _LAYER_EXPORTS
             assert lines[2:] == ["True"]
+
+
+@pytest.mark.parametrize("mixed", [("--kappa1", "0.3"), ("--xi", "0.3")])
+def test_oh_singh_refuses_mixed_styles_as_without_it(capsys, mixed):
+    # --oh-singh does not ignore oscillator or Hermiticity flags: the run is
+    # refused with the message the same flags get without it
+    argv = ("verify-rmatrix", *mixed, "--eps", "0.5", "--alpha", "1.2", "--max-sector", "1")
+    refused = (2, "", "error: oscillator-style and q-oscillator-style parameters mixed\n")
+    assert run(capsys, *argv) == refused
+    assert run(capsys, *argv, "--oh-singh") == refused
 
 
 def test_max_order_zero_is_honoured(capsys):

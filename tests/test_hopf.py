@@ -14,7 +14,8 @@ from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    proposition1_params, structure_function, structure_function_values)
 from qhopf.expalg import ExpPoly
 from qhopf.fock import _RMatrixAmplitude
-from leg_map_reference import embedded_join, folded_product, leg_moved, lifted_map_on_leg
+from leg_map_reference import (embedded_join, folded_coproduct, folded_product, leg_moved,
+                               lifted_map_on_leg, termwise_multiply_legs)
 from series_reference import series_tensor_terms
 
 
@@ -350,6 +351,52 @@ def test_leg_maps_equal_the_embedded_lift(fixture, request):
         assert_same_terms(got, lifted_map_on_leg(alg, t, leg, width))
 
 
+BRANCH_FIXTURES = ["generic_complex_params", "generic_params", "prop1_params",
+                   "degenerate_params", "gamma_zero_params"]
+
+
+def random_element(alg, rng):
+    # three random monomials and one with coefficient G, whose terms make
+    # products merge and cancel
+    return sum((random_monomial(alg, rng, max_rs=2) for _ in range(3)),
+               alg.monomial(rng.randint(0, 2), rng.randint(0, 2), alg.g))
+
+
+@pytest.mark.parametrize("fixture", BRANCH_FIXTURES)
+def test_coproduct_equals_the_folded_coproduct(fixture, request):
+    # key by key against two tensor_product calls per term, bit for bit: the
+    # check_axioms probes, coproduct(G), random elements and their squares
+    alg = HopfOscillator(request.getfixturevalue(fixture))
+    probes = [alg.lowering(), alg.raising(), alg.number_op(),
+              alg.monomial(2, 1, ExpPoly.exponential(0.3)),
+              alg.monomial(1, 2, ExpPoly.variable() * ExpPoly.exponential(-0.2)),
+              alg.monomial(0, 0, ExpPoly.variable()**2), alg.from_function(alg.g)]
+    rng = random.Random(53)
+    for _ in range(30):
+        x = random_element(alg, rng)
+        probes += [x, x * x]
+    for x in probes:
+        assert_same_terms(alg.coproduct(x), folded_coproduct(alg, x))
+
+
+@pytest.mark.parametrize("fixture", BRANCH_FIXTURES)
+def test_multiply_legs_equals_the_termwise_products(fixture, request):
+    # one substitution per key and crossing term against one normal-ordered
+    # product per separable term, on joins, coproducts and their antipode
+    # images; keys with s1, r2 > 0 take the crossing terms Q_j
+    alg = HopfOscillator(request.getfixturevalue(fixture))
+    rng = random.Random(59)
+    crossed = 0
+    for _ in range(10):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        d = alg.coproduct(x)
+        for t in (alg.tensor_join(x, y), alg.tensor_join(y, x), d,
+                  alg.antipode_on_leg(d, 0), alg.antipode_on_leg(d, 1)):
+            crossed += sum(1 for (_, s1), (r2, _) in t.terms if s1 and r2)
+            assert (alg.multiply_legs(t) - termwise_multiply_legs(alg, t)).is_zero()
+    assert crossed > 100
+
+
 def test_tensor_join_equals_the_embedded_product(generic_complex_params):
     alg = HopfOscillator(generic_complex_params)
     rng = random.Random(41)
@@ -367,12 +414,15 @@ def test_coproduct_power_caches_are_per_instance(generic_params, prop1_params):
                                 w.lower_left)
     algs = [HopfOscillator(generic_params), HopfOscillator(prop1_params),
             HopfOscillator(generic_params, weights=tampered)]
-    # every instance, in either order, expands with its own pack and weights
+    # every instance, in either order, expands with its own pack and weights,
+    # to the coefficients and the scales of the uncached fold
     for alg in algs + algs[::-1]:
         powers = reference_powers(alg, 3)
         for x in (alg.monomial(0, 3), alg.monomial(2, 0)):
-            want = reference_coproduct(alg, x, powers)
-            assert coefficients(alg.coproduct(x)) == coefficients(want)
+            got, want = alg.coproduct(x), reference_coproduct(alg, x, powers)
+            assert coefficients(got) == coefficients(want)
+            assert ({key: poly.scale for key, poly in got.terms.items()}
+                    == {key: poly.scale for key, poly in want.terms.items()})
     plain, _, hooked = algs
     assert (coefficients(plain.coproduct(plain.monomial(0, 3)))
             != coefficients(hooked.coproduct(hooked.monomial(0, 3))))
@@ -427,11 +477,14 @@ def test_caches_leave_no_reference_cycle(prop1_params):
 def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     # each product of two unit leg monomials, each image of a leg monomial
     # (whatever leg it is used at) and each antipode power is formed once per
-    # instance: 492 products on the first run (1216 when they were formed
-    # afresh per use), and the second run forms only those that no cache
-    # holds.  Images are spliced into place, so the only embeddings are the
-    # four weights of the coproduct generators, made on the first run.
-    calls = {"product": 0, "embed": 0, "substitute": 0}
+    # instance, and the second run forms only those that no cache holds.
+    # The coproduct multiplies coefficient functions key by key and the
+    # multiplication map substitutes each key once per crossing term, so
+    # neither goes through product or tensor_product: 180 products and 12
+    # tensor products on the first run (492 and 112 when both did).  Images
+    # are spliced into place, so the only embeddings are the four weights of
+    # the coproduct generators, made on the first run.
+    calls = {"product": 0, "tensor_product": 0, "embed": 0, "substitute": 0, "__init__": 0}
 
     def counted(cls, name):
         method = getattr(cls, name)
@@ -442,13 +495,17 @@ def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(HopfOscillator, "product")
+    counted(HopfOscillator, "tensor_product")
     counted(ExpPoly, "embed")
     counted(ExpPoly, "substitute")
+    counted(ExpPoly, "__init__")
     alg = HopfOscillator(prop1_params)
     alg.check_axioms()
-    assert calls == {"product": 492, "embed": 4, "substitute": 305}
+    assert calls == {"product": 180, "tensor_product": 12, "embed": 4, "substitute": 276,
+                     "__init__": 1835}
     alg.check_axioms()
-    assert calls == {"product": 492 + 113, "embed": 4, "substitute": 305 + 110}
+    assert calls == {"product": 180 + 7, "tensor_product": 12 + 7, "embed": 4,
+                     "substitute": 276 + 74, "__init__": 1835 + 961}
 
 
 # --------------------------------------------------------------------- counit

@@ -29,19 +29,31 @@ def generic_complex_packs(draw):
     return build_params(kappa1, kappa2, gamma, g0)
 
 
+def _pool(draw, algebra):
+    """The pack's own exponents (G and a coproduct weight), a foreign
+    exponential and a power of N."""
+    return [g_function(algebra.params), coproduct_weights(algebra.params).lower_left,
+            ExpPoly.exponential(draw(_cplx(-0.3, 0.3, -0.3, 0.3))), ExpPoly.variable()]
+
+
+@st.composite
+def monomials(draw, algebra, pool=None):
+    """A monomial adag^r f(N) a^s whose coefficient function is a constant
+    times up to two functions of the pool."""
+    pool = pool or _pool(draw, algebra)
+    f = ExpPoly.constant(draw(_cplx(-2, 2, -2, 2)))
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=2)):
+        f = f * pool[i]
+    return algebra.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2)), f)
+
+
 @st.composite
 def elements(draw, algebra):
-    """A sum of up to three monomials adag^r f(N) a^s whose coefficient
-    functions mix the pack's own exponents (G and a coproduct weight) with a
-    foreign exponential and a power of N."""
-    pool = [g_function(algebra.params), coproduct_weights(algebra.params).lower_left,
-            ExpPoly.exponential(draw(_cplx(-0.3, 0.3, -0.3, 0.3))), ExpPoly.variable()]
+    """A sum of up to three monomials over one pool."""
+    pool = _pool(draw, algebra)
     total = algebra.scalar(0.0)
     for _ in range(draw(st.integers(1, 3))):
-        f = ExpPoly.constant(draw(_cplx(-2, 2, -2, 2)))
-        for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=2)):
-            f = f * pool[i]
-        total = total + algebra.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2)), f)
+        total = total + draw(monomials(algebra, pool))
     return total
 
 
@@ -55,6 +67,21 @@ def test_product_is_associative(data):
     # exact exponents: both association orders give the same terms
     assert ({rs: set(f.terms) for rs, f in lhs.terms.items()}
             == {rs: set(f.terms) for rs, f in rhs.terms.items()})
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.data())
+def test_antipode_and_coproduct_homomorphism_on_monomials(data):
+    # m(S (x) id) coproduct(x) = m(id (x) S) coproduct(x) = counit(x) 1 and
+    # coproduct(x y) = coproduct(x) coproduct(y), through the key-by-key
+    # coproduct and multiplication map
+    algebra = HopfOscillator(data.draw(generic_complex_packs()))
+    x, y = (data.draw(monomials(algebra)) for _ in range(2))
+    d = algebra.coproduct(x)
+    unit = algebra.scalar(algebra.counit(x))
+    assert algebra.multiply_legs(algebra.antipode_on_leg(d, 0)) == unit
+    assert algebra.multiply_legs(algebra.antipode_on_leg(d, 1)) == unit
+    assert algebra.coproduct(x * y) == algebra.tensor_product(d, algebra.coproduct(y))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
