@@ -227,7 +227,12 @@ class ExpPoly:
         """``canonical=True`` promises keys whose exponents are ``Exponent``s
         and whose powers are nonnegative ints, one per variable, and complex
         coefficients, as every operation of this class produces; the dict is
-        then kept as it is, minus pruned terms.  Other keys are lifted here."""
+        then kept as it is, minus pruned terms.  Other keys are lifted here.
+
+        ``scale`` is the largest of the given ``scale`` and the magnitudes of
+        the terms, and every term at or below PRUNE_REL_TOL times it is
+        pruned.  A one-term dict, the most common construction, takes a
+        direct path with the same prune, ``scale`` and ``residual_floor``."""
         if not 1 <= arity <= 3:
             raise ValueError(f"arity must be 1, 2 or 3, got {arity}")
         peak = float(scale)
@@ -235,19 +240,29 @@ class ExpPoly:
         if terms:
             if not canonical:
                 terms = _lift_terms(arity, terms)
-            mags = [abs(c) for c in terms.values()]
-            top = max(mags)
-            if top > peak:
-                peak = top
-            cutoff = PRUNE_REL_TOL * peak
-            if min(mags) > cutoff:
-                kept = terms
+            if len(terms) == 1:
+                (c,) = terms.values()
+                m = abs(c)
+                if m > peak:
+                    peak = m
+                if m > PRUNE_REL_TOL * peak:
+                    kept = terms
+                elif m > floor:
+                    floor = m
             else:
-                for (key, c), m in zip(terms.items(), mags):
-                    if m > cutoff:
-                        kept[key] = c
-                    elif m > floor:
-                        floor = m
+                mags = [abs(c) for c in terms.values()]
+                top = max(mags)
+                if top > peak:
+                    peak = top
+                cutoff = PRUNE_REL_TOL * peak
+                if min(mags) > cutoff:
+                    kept = terms
+                else:
+                    for (key, c), m in zip(terms.items(), mags):
+                        if m > cutoff:
+                            kept[key] = c
+                        elif m > floor:
+                            floor = m
         self.arity = arity
         self.terms = kept
         self.scale = peak

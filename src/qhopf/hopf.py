@@ -41,11 +41,18 @@ powers beside it only shifts their arguments.
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function, the powers of coproduct(adag),
 coproduct(a), S(adag) and S(a), the product of each pair of unit leg
-monomials (which also gives the Q_j) and the image of each leg monomial
-under the coproduct or the antipode, kept once whatever leg it is spliced
-into; nothing is cached at module level.  In ``tensor_product`` each
-combination of leg products becomes one coefficient function in a single
-``ExpPoly`` construction, multiplied up leg by leg.
+monomials adag^r e^{mu N} N^k a^s (which also gives the Q_j) and the image
+of each one under the coproduct or the antipode, kept once whatever leg it
+is spliced into; nothing is cached at module level.  The two leg caches are
+keyed by ladder shape and power alone and hold the mu = 0 entries: e^{mu N}
+only shifts when it moves past a ladder power, so the entry at any other
+exponent is the kept one with each part multiplied by one one-term
+exponential (``_leg_image``, ``_unit_product``).  A derived part has the
+term keys of the one formed directly and its coefficients to roundoff; its
+scale is the kept part's times the magnitude of the factor.
+In ``tensor_product`` each combination of leg products becomes one
+coefficient function in a single ``ExpPoly`` construction, multiplied up
+leg by leg.
 
 Three parameter branches are distinguished:
 
@@ -63,7 +70,7 @@ import math
 from functools import cached_property
 from itertools import product as _cartesian
 
-from .expalg import ExpPoly, _add as _add_exponents, antidifference, exponent
+from .expalg import ZERO, ExpPoly, _add as _add_exponents, antidifference, exponent
 from .report import CheckReport
 
 __all__ = [
@@ -250,7 +257,7 @@ def antipode_weights(p):
 
 
 # the leg factor exp(0 * N) N^0 of a unit leg monomial
-_UNIT_PIECE = (exponent(), 0)
+_UNIT_PIECE = (ZERO, 0)
 
 
 def _acc(store, key, poly):
@@ -271,6 +278,15 @@ def _pair_product(p, q):
                         for (m1, n1), (m2, n2) in zip(k1, k2)])
             raw[nk] = raw[nk] + c if nk in raw else c
     return ExpPoly(p.arity, raw, scale=scale, canonical=True)
+
+
+def _times_exp(p, mu, w):
+    """p times the one-term function w exp(mu (V_1 + .. + V_n)) over every
+    variable of p, in one construction: the term keys, coefficients and
+    scale of that product."""
+    return ExpPoly(p.arity, {tuple([(_add_exponents(m, mu), k) for m, k in pk]): c * w
+                             for pk, c in p.terms.items()},
+                   scale=p.scale * abs(w), canonical=True)
 
 
 def _spliced(pk, leg, part, c):
@@ -518,16 +534,34 @@ class HopfOscillator:
         return AlgebraElement(self, {rs: ExpPoly(1, {(piece,): 1.0 + 0j}, canonical=True)})
 
     def _unit_product(self, rs1, piece1, rs2, piece2):
-        """The terms of the product of two unit leg monomials.  The same pair
-        recurs across terms, legs and calls; its product is formed once per
-        instance."""
-        memo_key = (rs1, piece1, rs2, piece2)
+        """The terms of the product of two unit leg monomials
+        adag^r1 e^{mu1 N} N^k1 a^s1 and adag^r2 e^{mu2 N} N^k2 a^s2.
+
+        It is sum_j adag^(r1+r2-j) f1(N + r2 - j) Q_j(N) f2(N + s1 - j)
+        a^(s1+s2-j), and e^{mu N} only shifts when it moves past a ladder
+        power, so only the product at mu1 = mu2 = 0 is formed, once per
+        instance for each ladder shape and pair of powers.  Other exponents
+        multiply each of its terms by the one-term function
+        e^{mu1 (N + r2 - j) + mu2 (N + s1 - j)}; each derived term has the
+        term keys of the direct product, its coefficients to roundoff, and
+        the scale of the kept term times the magnitude of that factor."""
+        (mu1, k1), (mu2, k2) = piece1, piece2
+        memo_key = (rs1, k1, rs2, k2)
         terms = self._leg_products.get(memo_key)
         if terms is None:
-            prod = self.product(self._leg_monomial(rs1, piece1),
-                                self._leg_monomial(rs2, piece2))
+            prod = self.product(self._leg_monomial(rs1, (ZERO, k1)),
+                                self._leg_monomial(rs2, (ZERO, k2)))
             terms = self._leg_products[memo_key] = list(prod.terms.items())
-        return terms
+        if not (mu1.vec or mu2.vec):
+            return terms
+        mu = _add_exponents(mu1, mu2)
+        (r1, s1), r2 = rs1, rs2[0]
+        derived = []
+        for (r, s), q in terms:
+            j = r1 + r2 - r
+            w = cmath.exp(mu1 * (r2 - j) + mu2 * (s1 - j))
+            derived.append(((r, s), _times_exp(q, mu, w)))
+        return derived
 
     def tensor_product(self, t, u):
         """Componentwise product (x1 (x) x2) (y1 (x) y2) = x1 y1 (x) x2 y2,
@@ -678,28 +712,54 @@ class HopfOscillator:
         """Apply the coproduct (``width`` = 2, the legs of its image) or the
         antipode (``width`` = 1) inside leg ``leg`` of a tensor element.
 
-        The image of each unit leg monomial is formed once per instance and
-        kept as the map returns it, whatever leg and leg count it is used
-        at.  A term c * (leg factors) takes each part of the image in one
-        ``ExpPoly`` construction, with its term keys spliced in for the
-        factor of leg ``leg``."""
+        A term c * (leg factors) takes each part of the image of its leg
+        monomial in one ``ExpPoly`` construction, with its term keys spliced
+        in for the factor of leg ``leg``."""
         legs = t.legs + width - 1
         out = {}
         for key, poly in t.terms.items():
             for pk, c in poly.terms.items():
-                memo_key = (width, key[leg], pk[leg])
-                images = self._leg_images.get(memo_key)
-                if images is None:
-                    hopf_map = self.coproduct if width == 2 else self.antipode
-                    image = hopf_map(self._leg_monomial(key[leg], pk[leg]))
-                    images = self._leg_images[memo_key] = [
-                        (ikey if width == 2 else (ikey,), ipoly)
-                        for ikey, ipoly in image.terms.items()]
-                for part, ipoly in images:
+                for part, ipoly in self._leg_image(width, key[leg], pk[leg]):
                     _acc(out, key[:leg] + part + key[leg + 1:],
                          ExpPoly(legs, _spliced(pk, leg, ipoly, c), scale=ipoly.scale * abs(c),
                                  canonical=True))
         return TensorElement(self, legs, out)
+
+    def _leg_image(self, width, rs, piece):
+        """The parts (image key, coefficient) of the image of the unit leg
+        monomial adag^r e^{mu N} N^k a^s under the coproduct (``width`` = 2)
+        or the antipode (``width`` = 1), with 1-leg keys as 1-tuples.
+
+        e^{mu N} only shifts when it moves past a ladder power, so only the
+        image at mu = 0 is formed, once per instance for each ladder shape
+        and power, whatever leg and leg count it is used at.  Other
+        exponents multiply each part by one one-term function:
+        e^{mu (N1 + N2 + gamma)} for the coproduct, and
+        e^{-mu (N + s + r - j + 2 gamma)} at key (r - j, s - j) for the
+        antipode.  Each derived part has the term keys of the direct image,
+        its coefficients to roundoff, and the scale of the kept part times
+        the magnitude of that factor."""
+        mu, k = piece
+        memo_key = (width, rs, k)
+        images = self._leg_images.get(memo_key)
+        if images is None:
+            hopf_map = self.coproduct if width == 2 else self.antipode
+            image = hopf_map(self._leg_monomial(rs, (ZERO, k)))
+            images = self._leg_images[memo_key] = [
+                (ikey if width == 2 else (ikey,), ipoly) for ikey, ipoly in image.terms.items()]
+        if not mu.vec:
+            return images
+        gamma = self.params.gamma
+        if width == 2:
+            w = cmath.exp(mu * gamma)
+            return [(part, _times_exp(ipoly, mu, w)) for part, ipoly in images]
+        minus, s = exponent((mu, -1)), rs[1]
+        derived = []
+        for part, ipoly in images:
+            ((ri, _),) = part
+            w = cmath.exp(minus * (s + ri + 2 * gamma))
+            derived.append((part, _times_exp(ipoly, minus, w)))
+        return derived
 
     # ------------------------------------------------------------- structure
     def multiply_legs(self, t):

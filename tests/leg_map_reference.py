@@ -10,7 +10,14 @@ of a leg monomial is formed afresh for every term, by substitution into
 its legs of the result.  The product moves x past each term of y one
 factor at a time, each factor a pass that builds its own term dict.  The
 coproduct of each term of x is two ``tensor_product`` calls, and the
-multiplication map one normal-ordered ``product`` per separable term."""
+multiplication map one normal-ordered ``product`` per separable term.
+
+The leg caches form an image or a product of unit leg monomials directly
+only at exponent 0 and derive the others from it; ``direct_leg_image`` and
+``direct_unit_product`` form them at their own exponent, as the caches did
+before, and ``assert_derived_entry`` holds a derived entry to them."""
+
+import pytest
 
 from qhopf import TensorElement
 from qhopf.expalg import ZERO, ExpPoly
@@ -123,3 +130,39 @@ def termwise_multiply_legs(alg, t):
             m2 = alg.monomial(*key[1], ExpPoly(1, {(pk[1],): 1.0 + 0j}, canonical=True))
             total = total + alg.product(m1, m2)
     return total
+
+
+def _unit_leg(alg, rs, piece):
+    return alg.monomial(*rs, ExpPoly(1, {(piece,): 1.0 + 0j}, canonical=True))
+
+
+def direct_leg_image(alg, width, rs, piece):
+    """The image of the unit leg monomial adag^r e^{mu N} N^k a^s under the
+    coproduct (``width`` = 2) or the antipode (``width`` = 1), formed at its
+    own exponent: (image key, coefficient) parts, 1-leg keys as 1-tuples."""
+    hopf_map = alg.coproduct if width == 2 else alg.antipode
+    return [(ikey if width == 2 else (ikey,), ipoly)
+            for ikey, ipoly in hopf_map(_unit_leg(alg, rs, piece)).terms.items()]
+
+
+def direct_unit_product(alg, rs1, piece1, rs2, piece2):
+    """The product of two unit leg monomials, formed at their own exponents."""
+    return list(alg.product(_unit_leg(alg, rs1, piece1), _unit_leg(alg, rs2, piece2))
+                .terms.items())
+
+
+def assert_derived_entry(template, derived, direct, rel=1e-14):
+    """A leg-cache entry derived from its exponent-0 template against the
+    entry formed directly: the same part keys and term keys, coefficients
+    within ``rel`` of each other, and each part its template part times one
+    factor, whose magnitude also multiplies the template's scale."""
+    assert [part for part, _ in derived] == [part for part, _ in template]
+    assert dict(derived).keys() == dict(direct).keys()
+    for (part, got), (_, base) in zip(derived, template):
+        want = dict(direct)[part]
+        assert got.terms.keys() == want.terms.keys()
+        for pk, c in got.terms.items():
+            assert abs(c - want.terms[pk]) <= rel * abs(want.terms[pk])
+        ratios = [c / b for c, b in zip(got.terms.values(), base.terms.values())]
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=rel)
+        assert got.scale == pytest.approx(base.scale * abs(ratios[0]), rel=rel)

@@ -383,6 +383,22 @@ def test_prune_records_residual_floor():
     assert f.residual_floor == pytest.approx(1e-15)
 
 
+@pytest.mark.parametrize("c, scale", [(2.0, 0.0), (3.0, 1.0), (1e-13, 1.0), (1e-12, 1.0),
+                                      (1.0000001e-12, 1.0), (0.0, 1.0), (0.0, 0.0)])
+def test_one_term_construction_prunes_as_a_term_among_others(c, scale):
+    # a one-term dict takes a direct path in the constructor: the prune,
+    # scale and residual floor of the same term beside one of the peak
+    # magnitude, which leaves both unchanged
+    key = ((0.3, 0),)
+    f = ExpPoly(1, {key: c}, scale=scale)
+    peak = max(scale, abs(c))
+    g = ExpPoly(1, {key: c, ((0.5, 0),): peak}, scale=scale)
+    assert (key in f.terms, f.scale, f.residual_floor) == (key in g.terms, g.scale,
+                                                           g.residual_floor)
+    assert f.scale == peak
+    assert (key in f.terms) == (abs(c) > 1e-12 * peak)
+
+
 # ------------------------------------------------------------- antidifference
 def test_antidifference_exponential():
     f = ExpPoly.exponential(0.37)

@@ -12,9 +12,11 @@ import pytest
 from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    build_params, coproduct_weights, g_function, interior_residual,
                    proposition1_params, structure_function, structure_function_values)
-from qhopf.expalg import ExpPoly
+from qhopf.expalg import ZERO, ExpPoly
 from qhopf.fock import _RMatrixAmplitude
-from leg_map_reference import (embedded_join, folded_coproduct, folded_product, leg_moved,
+from qhopf.hopf import AlgebraElement
+from leg_map_reference import (assert_derived_entry, direct_leg_image, direct_unit_product,
+                               embedded_join, folded_coproduct, folded_product, leg_moved,
                                lifted_map_on_leg, termwise_multiply_legs)
 from series_reference import series_tensor_terms
 
@@ -299,23 +301,55 @@ def test_cached_coproduct_equals_uncached_fold(generic_complex_params):
 
 
 def test_tensor_product_equals_embed_chain(generic_complex_params):
-    # The reference builds each leg combination as constant * embed * embed ..;
-    # the coefficients are multiplied up in the same order, so they agree
-    # exactly, and the exponents agree on their generator vectors.
+    # The reference builds each leg combination as constant * embed * embed ..
+    # from leg products formed at their own exponents.  Where every leg factor
+    # has exponent 0 the coefficients are multiplied up in the same order, so
+    # they agree exactly, and the exponents agree on their generator vectors.
+    # Elsewhere the kept leg products are derived from exponent-0 ones: every
+    # key and term key agrees, and the coefficients agree to roundoff.
     alg = HopfOscillator(generic_complex_params)
-    d = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
-    da, dad = alg.coproduct(alg.lowering()), alg.coproduct(alg.raising())
-    left, right = alg.coproduct_on_leg(d, 0), alg.coproduct_on_leg(d, 1)
-    amp = _RMatrixAmplitude(generic_complex_params, 6)
-    split = alg.coproduct_on_leg(series_tensor_terms(alg, amp, 6), 0)
-    for t, u in [(da, dad), (dad, da), (d, da), (left, right), (right, left),
-                 (split, alg.tensor_one(3))]:
+    n = ExpPoly.variable()
+    plain = (alg.tensor_join(alg.monomial(1, 2, n**2), alg.monomial(2, 0, n)),
+             alg.tensor_join(alg.monomial(0, 1) + alg.number_op(), alg.monomial(1, 1, n)))
+    for t, u in [plain, plain[::-1]]:
         got, want = alg.tensor_product(t, u), reference_tensor_product(alg, t, u)
         assert got.terms.keys() == want.terms.keys()
         for key, poly in got.terms.items():
             ref = want.terms[key]
             assert poly.scale == pytest.approx(ref.scale, rel=1e-15)
             assert poly.terms == ref.terms
+    d = alg.coproduct(alg.monomial(2, 1, ExpPoly.exponential(0.3)))
+    da, dad = alg.coproduct(alg.lowering()), alg.coproduct(alg.raising())
+    left, right = alg.coproduct_on_leg(d, 0), alg.coproduct_on_leg(d, 1)
+    amp = _RMatrixAmplitude(generic_complex_params, 6)
+    split = alg.coproduct_on_leg(series_tensor_terms(alg, amp, 6), 0)
+    pairs = set()
+    for t, u in [(da, dad), (dad, da), (d, da), (left, right), (right, left),
+                 (split, alg.tensor_one(3))]:
+        assert_close_terms(alg.tensor_product(t, u), reference_tensor_product(alg, t, u))
+        pairs |= {(k1[i], p1[i], k2[i], p2[i]) for k1, f1 in t.terms.items() for p1 in f1.terms
+                  for k2, f2 in u.terms.items() for p2 in f2.terms for i in range(t.legs)}
+    # each derived leg product is its template times one factor
+    derived = [(rs1, piece1, rs2, piece2) for rs1, piece1, rs2, piece2 in pairs
+               if piece1[0].vec or piece2[0].vec]
+    assert len(derived) > 50
+    for rs1, (mu1, k1), rs2, (mu2, k2) in derived:
+        assert_derived_entry(alg._unit_product(rs1, (ZERO, k1), rs2, (ZERO, k2)),
+                             alg._unit_product(rs1, (mu1, k1), rs2, (mu2, k2)),
+                             direct_unit_product(alg, rs1, (mu1, k1), rs2, (mu2, k2)))
+
+
+def assert_close_terms(got, want, rel=1e-14):
+    # the same keys and term keys, and coefficients within rel of the scale
+    # of the reference key, the magnitude its pruning is judged against: a
+    # coefficient that cancels in the sum over terms keeps roundoff of that
+    # magnitude, not of its own
+    assert got.terms.keys() == want.terms.keys()
+    for key, poly in got.terms.items():
+        ref = want.terms[key]
+        assert poly.terms.keys() == ref.terms.keys()
+        for pk, c in poly.terms.items():
+            assert abs(c - ref.terms[pk]) <= rel * ref.scale
 
 
 def assert_same_terms(got, want):
@@ -330,6 +364,8 @@ def assert_same_terms(got, want):
 @pytest.mark.parametrize("fixture", ["generic_complex_params", "prop1_params",
                                      "degenerate_params", "gamma_zero_params"])
 def test_leg_maps_equal_the_embedded_lift(fixture, request):
+    # terms whose leg factor has exponent 0 take the image formed directly,
+    # exactly; the others take one derived from it, to roundoff
     p = request.getfixturevalue(fixture)
     probe_alg = HopfOscillator(p)
     d = (probe_alg.coproduct(probe_alg.monomial(2, 1, ExpPoly.exponential(0.3 - 0.1j)))
@@ -348,7 +384,21 @@ def test_leg_maps_equal_the_embedded_lift(fixture, request):
         got = leg_map(TensorElement(alg, t.legs, t.terms), leg)
         # every image was formed at the other leg and leg count, and is reused
         assert len(alg._leg_images) == formed
-        assert_same_terms(got, lifted_map_on_leg(alg, t, leg, width))
+        assert_close_terms(got, lifted_map_on_leg(alg, t, leg, width))
+        plain = TensorElement(alg, t.legs, {
+            key: ExpPoly(t.legs, {pk: c for pk, c in poly.terms.items() if not pk[leg][0].vec},
+                         scale=poly.scale, canonical=True)
+            for key, poly in t.terms.items()})
+        assert plain.terms
+        assert_same_terms(leg_map(plain, leg), lifted_map_on_leg(alg, plain, leg, width))
+        # each derived image is its template times one factor
+        pieces = {(key[leg], pk[leg]) for key, poly in t.terms.items() for pk in poly.terms
+                  if pk[leg][0].vec}
+        assert pieces
+        for rs, (mu, k) in pieces:
+            assert_derived_entry(alg._leg_image(width, rs, (ZERO, k)),
+                                 alg._leg_image(width, rs, (mu, k)),
+                                 direct_leg_image(alg, width, rs, (mu, k)))
 
 
 BRANCH_FIXTURES = ["generic_complex_params", "generic_params", "prop1_params",
@@ -475,13 +525,16 @@ def test_caches_leave_no_reference_cycle(prop1_params):
 
 
 def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
-    # each product of two unit leg monomials, each image of a leg monomial
-    # (whatever leg it is used at) and each antipode power is formed once per
-    # instance, and the second run forms only those that no cache holds.
-    # The coproduct multiplies coefficient functions key by key and the
-    # multiplication map substitutes each key once per crossing term, so
-    # neither goes through product or tensor_product: 180 products and 12
-    # tensor products on the first run (492 and 112 when both did).  Images
+    # each product of two unit leg monomials and each image of a leg monomial
+    # (whatever leg it is used at) is formed once per instance at exponent 0
+    # for each ladder shape and power, each antipode power once per
+    # instance, and the second run forms only those that no cache holds.  An
+    # entry at another exponent is its exponent-0 entry times one one-term
+    # function, one ExpPoly per part on every use: 75 products on the first
+    # run, 180 when each exponent formed its own entries.  The coproduct
+    # multiplies coefficient functions key by key and the multiplication map
+    # substitutes each key once per crossing term, so neither goes through
+    # product or tensor_product: 12 tensor products on the first run.  Images
     # are spliced into place, so the only embeddings are the four weights of
     # the coproduct generators, made on the first run.
     calls = {"product": 0, "tensor_product": 0, "embed": 0, "substitute": 0, "__init__": 0}
@@ -501,11 +554,14 @@ def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     counted(ExpPoly, "__init__")
     alg = HopfOscillator(prop1_params)
     alg.check_axioms()
-    assert calls == {"product": 180, "tensor_product": 12, "embed": 4, "substitute": 276,
-                     "__init__": 1835}
+    assert calls == {"product": 75, "tensor_product": 12, "embed": 4, "substitute": 171,
+                     "__init__": 1708}
+    # the entries formed directly: one per ladder shape and power met (80
+    # images and 89 products when each exponent formed its own)
+    assert (len(alg._leg_images), len(alg._leg_products)) == (30, 34)
     alg.check_axioms()
-    assert calls == {"product": 180 + 7, "tensor_product": 12 + 7, "embed": 4,
-                     "substitute": 276 + 74, "__init__": 1835 + 961}
+    assert calls == {"product": 75 + 7, "tensor_product": 12 + 7, "embed": 4,
+                     "substitute": 171 + 74, "__init__": 1708 + 1275}
 
 
 # --------------------------------------------------------------------- counit
@@ -595,6 +651,25 @@ def test_axioms_pass_on_every_branch(fixture, request):
     rep = HopfOscillator(p).check_axioms()
     assert rep.passed, [c.name for c in rep.failures()]
     assert rep.max_residual() < 1e-12
+
+
+@pytest.mark.parametrize("fixture", BRANCH_FIXTURES)
+def test_dropped_keys_stay_far_below_the_prune_threshold(fixture, request, monkeypatch):
+    # an element drops every key whose coefficient function pruned to
+    # nothing, and its residual floor with it (ROADMAP item 3): the largest
+    # pruned magnitude of such a key, relative to its scale, stays far below
+    # the 1e-12 prune threshold (at most 9.5e-16 when each exponent formed
+    # its own leg entries, 8.0e-16 with derived ones)
+    dropped = []
+    for cls in (AlgebraElement, TensorElement):
+        def recording(self, *args, _init=cls.__init__):
+            dropped.extend(f.residual_floor / f.scale for f in args[-1].values()
+                           if f.is_zero() and f.scale > 0)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", recording)
+    HopfOscillator(request.getfixturevalue(fixture)).check_axioms()
+    assert len(dropped) > 50
+    assert max(dropped) <= 1e-14
 
 
 def test_axioms_pass_with_kappa1_next_to_a_guard_exponent():

@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from qhopf import (FockWindow, HopfOscillator, build_params,  # noqa: E402
                    check_quasitriangularity, check_yang_baxter, coproduct_weights,
                    g_function, interior_residual)
-from qhopf.expalg import ExpPoly  # noqa: E402
+from qhopf.expalg import ZERO, ExpPoly  # noqa: E402
+from leg_map_reference import (assert_derived_entry, direct_leg_image,  # noqa: E402
+                               direct_unit_product)
 
 
 def _cplx(re_lo, re_hi, im_lo, im_hi):
@@ -82,6 +84,32 @@ def test_antipode_and_coproduct_homomorphism_on_monomials(data):
     assert algebra.multiply_legs(algebra.antipode_on_leg(d, 0)) == unit
     assert algebra.multiply_legs(algebra.antipode_on_leg(d, 1)) == unit
     assert algebra.coproduct(x * y) == algebra.tensor_product(d, algebra.coproduct(y))
+
+
+@st.composite
+def leg_pieces(draw, pool):
+    """A ladder shape and a leg factor exp(mu N) N^k of a unit leg monomial,
+    mu an exponent of the pool (0 for the power of N)."""
+    mu = draw(st.sampled_from([mu for f in pool for ((mu, _),) in f.terms]))
+    return (draw(st.integers(0, 2)), draw(st.integers(0, 2))), (mu, draw(st.integers(0, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_leg_entries_equal_the_direct_ones(data):
+    # the leg caches form the Hopf images and the products of unit leg
+    # monomials at exponent 0 and derive the others with one factor each;
+    # at random exponents they match the entries formed at their own
+    algebra = HopfOscillator(data.draw(generic_complex_packs()))
+    pool = _pool(data.draw, algebra)
+    (rs1, (mu1, k1)), (rs2, (mu2, k2)) = (data.draw(leg_pieces(pool)) for _ in range(2))
+    width = data.draw(st.sampled_from([1, 2]))
+    assert_derived_entry(algebra._leg_image(width, rs1, (ZERO, k1)),
+                         algebra._leg_image(width, rs1, (mu1, k1)),
+                         direct_leg_image(algebra, width, rs1, (mu1, k1)))
+    assert_derived_entry(algebra._unit_product(rs1, (ZERO, k1), rs2, (ZERO, k2)),
+                         algebra._unit_product(rs1, (mu1, k1), rs2, (mu2, k2)),
+                         direct_unit_product(algebra, rs1, (mu1, k1), rs2, (mu2, k2)))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
