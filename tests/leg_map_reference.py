@@ -34,15 +34,11 @@ def lifted_map_on_leg(alg, t, leg, width):
     substituted into legs leg .. leg + width - 1, scaled by the term's
     coefficient and multiplied by every other leg's unit factor, embedded."""
     legs = t.legs + width - 1
-    hopf_map = alg.coproduct if width == 2 else alg.antipode
     slots = [({leg + j: 1.0}, 0j) for j in range(width)]
     out = {}
     for key, poly in t.terms.items():
         for pk, c in poly.terms.items():
-            image = hopf_map(alg.monomial(*key[leg], ExpPoly(1, {(pk[leg],): 1.0 + 0j},
-                                                             canonical=True)))
-            for ikey, ipoly in image.terms.items():
-                part = ikey if width == 2 else (ikey,)
+            for part, ipoly in direct_leg_image(alg, width, key[leg], pk[leg]):
                 lifted = ipoly.substitute(slots, legs) * c
                 for i in range(t.legs):
                     if i == leg:
@@ -156,10 +152,11 @@ def assert_derived_entry(template, derived, direct, rel=1e-14):
     entry formed directly: the same part keys and term keys, coefficients
     within ``rel`` of each other, and each part its template part times one
     factor, whose magnitude also multiplies the template's scale."""
+    direct = dict(direct)
     assert [part for part, _ in derived] == [part for part, _ in template]
-    assert dict(derived).keys() == dict(direct).keys()
+    assert dict(derived).keys() == direct.keys()
     for (part, got), (_, base) in zip(derived, template):
-        want = dict(direct)[part]
+        want = direct[part]
         assert got.terms.keys() == want.terms.keys()
         for pk, c in got.terms.items():
             assert abs(c - want.terms[pk]) <= rel * abs(want.terms[pk])
