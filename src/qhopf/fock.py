@@ -43,14 +43,15 @@ factors with ``ExpPoly.evaluate`` and alone applies the exponent cap; this
 module holds no evaluator or cap of its own.  Every complex product is
 taken from real and imaginary parts (``_mul``), as a Python or numpy scalar
 product is, so the blocks are bit for bit those of evaluating entry by
-entry (the sign and payload of a nan aside); an error is the one that
-entry-by-entry order meets first (``_FirstError``), and the arrays
-themselves never warn.
+entry (the sign and payload of a nan aside).  The arrays run under
+``np.errstate(all="ignore")`` and never warn: a table call that raises, the
+exponent cap included, raises as it is, and a block that is not finite is
+refused when the caller's errstate raises on overflow or invalid
+(``_check_finite``).
 """
 
 import cmath
 import math
-import operator
 from functools import cache, cached_property
 
 import numpy as np
@@ -283,99 +284,26 @@ def _parts(z):
     return z.real, z.imag
 
 
-def _flags(fn, x, y):
-    """Per row, the flags the numpy scalar ``fn(x, y)`` (a complex product or
-    sum of (re, im) pairs) sets in its real products and sums: overflow where
-    finite operands give inf, invalid where operands that are not nan give
-    nan."""
-    (xr, xi), (yr, yi) = x, y
-    if fn is operator.add:
-        steps = [(xr, yr, xr + yr), (xi, yi, xi + yi)]
-    else:
-        p = xr * yr, xi * yi, xr * yi, xi * yr
-        steps = [(xr, yr, p[0]), (xi, yi, p[1]), (xr, yi, p[2]), (xi, yr, p[3]),
-                 (p[0], p[1], p[0] - p[1]), (p[2], p[3], p[2] + p[3])]
-    over = invalid = np.zeros(np.shape(xr), dtype=bool)
-    for a, b, r in steps:
-        over = over | (np.isinf(r) & np.isfinite(a) & np.isfinite(b))
-        invalid = invalid | (np.isnan(r) & ~np.isnan(a) & ~np.isnan(b))
-    return {"over": over, "invalid": invalid}
-
-
-class _FirstError:
-    """The error a per-entry loop meets first, for entries computed instead
-    as whole arrays under ``np.errstate(all="ignore")``, which, like Python
-    complex arithmetic, neither warns nor raises.
-
-    Each step of the loop that can raise is noted with its rows: ``keys``
-    ranks each row in the loop's order and ``rank`` (one, or one per row)
-    the step within its row.
-
-    * ``call``: a call that raised while a table was built; ``again(i)``
-      makes it again for row i, and raises.
-    * ``op``: a numpy scalar product or sum of the loop, with the operands as
-      (re, im) pairs, per row or, given ``at``, per table entry.  It raises
-      where it sets the overflow or invalid flag and the caller's errstate,
-      read on construction, says "raise" for that flag; underflow, which the
-      CLI ignores, is not reported.
-
-    ``raise_first(result)`` raises what the loop would have raised first:
-    it makes the noted steps again, in the loop's order, the call or the one
-    numpy scalar operation under the caller's errstate, until one raises.  A
-    flag leaves inf or nan behind, which every later product and sum keeps,
-    so when the (re, im) pair ``result`` is finite no step set one and the
-    operands are not examined.
-    """
-
-    def __init__(self):
-        errstate = np.geterr()
-        self.trips = [flag for flag in ("over", "invalid") if errstate[flag] == "raise"]
-        self.calls, self.ops = [], []
-
-    def call(self, keys, rank, again):
-        if len(keys):
-            self.calls.append((keys, rank, again))
-
-    def op(self, keys, rank, fn, x, y, at=None):
-        self.ops.append((keys, rank, fn, x, y, at))
-
-    def raise_first(self, result):
-        found = list(self.calls)
-        if self.trips and not all(np.isfinite(part).all() for part in result):
-            for keys, rank, fn, x, y, at in self.ops:
-                with np.errstate(all="ignore"):
-                    x, y = ([np.broadcast_to(part if at is None else part[at], keys.shape)
-                             for part in z] for z in (x, y))
-                    flags = _flags(fn, x, y)
-                hit = np.flatnonzero(sum(flags[flag] for flag in self.trips))
-                found.append((keys[hit], np.broadcast_to(rank, keys.shape)[hit],
-                              lambda i, x=x, y=y, hit=hit, fn=fn: fn(
-                                  *(np.complex128(complex(z[0][hit[i]], z[1][hit[i]]))
-                                    for z in (x, y)))))
-        steps = sorted((key, r, k, i) for k, (keys, rank, _) in enumerate(found)
-                       for i, (key, r) in enumerate(zip(
-                           keys.tolist(), np.broadcast_to(rank, keys.shape).tolist())))
-        for *_, k, i in steps:
-            found[k][2](i)
-
-
-def _table(first, keys, rank, fn, grid, index):
+def _table(fn, grid, index):
     """``fn(*args)`` for each argument tuple of ``grid``, read per row at
     ``index``, as an (re, im) pair: each call the per-entry loop makes, made
-    once.  A call that raises holds nan and is noted to ``first`` for its
-    rows."""
-    values, failed = [], []
-    for i, args in enumerate(grid):
-        try:
-            values.append(fn(*args))
-        except (ArithmeticError, ValueError):
-            values.append(math.nan)
-            failed.append(i)
-    if failed:
-        rows = np.flatnonzero(np.isin(index, failed))
-        first.call(keys[rows], np.broadcast_to(rank, keys.shape)[rows],
-                   lambda i: fn(*grid[index[rows[i]]]))
-    return _parts(np.array(values, dtype=complex)[index])
+    once, and only where some row reads it.  A call that raises, raises."""
+    read = np.flatnonzero(np.bincount(index, minlength=len(grid)))
+    values = np.zeros(len(grid), dtype=complex)
+    values[read] = [fn(*grid[i]) for i in read.tolist()]
+    return _parts(values[index])
+
+
+def _check_finite(flat, offset, name):
+    """Raise FloatingPointError naming ``name`` and the lowest sector m whose
+    block ``flat[offset[m]:offset[m + 1]]`` is not finite, if the caller's
+    errstate raises on overflow or invalid."""
+    errstate = np.geterr()
+    if "raise" in (errstate["over"], errstate["invalid"]):
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if len(bad):
+            m = np.searchsorted(offset, bad[0], side="right") - 1
+            raise FloatingPointError(f"the sector {m} block of {name} is not finite")
 
 
 def _state_index(states):
@@ -385,12 +313,13 @@ def _state_index(states):
     return d if states.shape[1] == 2 else d * (d + 1) // 2 + states[:, 2]
 
 
-def _coefficients(poly, levels, first, keys):
+def _coefficients(poly, levels):
     """``poly.evaluate`` at each row of ``levels`` from its level tables, with
-    the products and sums of ``evaluate`` in its order, as an (re, im) pair;
-    a row where ``evaluate`` raises is noted to ``first`` as a call."""
+    the products and sums of ``evaluate`` in its order, as an (re, im) pair.
+    When a row reads a level past the exponent cap (a None of the tables),
+    ``evaluate`` at the first such row raises EvaluationOverflow."""
     total = np.zeros(len(levels)), np.zeros(len(levels))
-    bad, arrays = None, {}
+    capped, arrays = None, {}
     for c, factors in poly.level_tables(int(levels.max(initial=0))):
         val = c.real, c.imag
         for (exps, powers), v in zip(factors, levels.T):
@@ -400,14 +329,13 @@ def _coefficients(poly, levels, first, keys):
                                     np.array([e is None for e in exps]) if None in exps else None)
             re, im, missing = arrays[id(exps)]
             if missing is not None:
-                bad = missing[v] if bad is None else bad | missing[v]
+                capped = missing[v] if capped is None else capped | missing[v]
             val = _mul(val, (re[v], im[v]))
             if powers is not None:
                 val = _mul(val, _parts(np.array(powers, dtype=complex)[v]))
         total = total[0] + val[0], total[1] + val[1]
-    if bad is not None:
-        rows = np.flatnonzero(bad)
-        first.call(keys[rows], 0, lambda i: poly.evaluate(*levels[rows[i]].tolist()))
+    if capped is not None and capped.any():
+        poly.evaluate(*levels[capped.argmax()].tolist())
     return total
 
 
@@ -422,10 +350,10 @@ def represent_tensor(t, params, m_max):
     ``ExpPoly.evaluate``), times the ladder amplitudes of each leg, placed
     into one flat vector of the blocks by index arithmetic.  The entries
     have the bits of evaluating state by state, in the order (sector, term,
-    state) with each entry summing its terms in order, and an error is the
-    one that order meets first (``_FirstError``): an exponent past the cap
-    raises EvaluationOverflow from ``ExpPoly.evaluate``, one at a level that
-    no reachable state reads is never reported.
+    state) with each entry summing its terms in order.  An exponent past the
+    cap at a level some reachable state reads raises EvaluationOverflow from
+    ``ExpPoly.evaluate``, one that no reachable state reads never does, and
+    a block that is not finite raises as ``_check_finite`` says, naming ``t``.
     """
     degrees = t.degrees()
     if len(degrees) > 1:
@@ -453,55 +381,39 @@ def represent_tensor(t, params, m_max):
     else:
         level, a, b = np.nonzero((k[:, None, None] >= k[:, None]) & (k[:, None] >= k))
         states = np.stack([level - a, a - b, b], axis=1)
-    index = _state_index(states)
     cols = [sector_dim(m, legs) for m in range(m_max + 1)]
     rows = [sector_dim(m + degree, legs) for m in range(m_max + 1)]
     offset = np.cumsum([0] + [r * c for r, c in zip(rows, cols)])
     start, cols = np.cumsum([0] + cols), np.array(cols)
     flat = np.zeros(offset[-1], dtype=complex)
     ladders = {}
-    first = _FirstError()
     with np.errstate(all="ignore"):
-        for i, (lows, highs, poly) in enumerate(terms):
+        for lows, highs, poly in terms:
             mids = states[:start[max(m_max - sum(lows) + 1, 0)]]
             m = level[:len(mids)] + sum(lows)
-            # rank in the order (sector, term, state)
-            keys = (m * len(terms) + i) * len(states) + index[:len(mids)]
-            amp = _coefficients(poly, mids, first, keys)
+            amp = _coefficients(poly, mids)
             # a zero coefficient adds nothing
             live = (amp[0] != 0) | (amp[1] != 0)
             if not live.all():
                 live = np.flatnonzero(live)
                 amp = amp[0][live], amp[1][live]
-                mids, m, keys = mids[live], m[live], keys[live]
-            # Each leg multiplies lower_amp[n][s] * raise_amp[mid][r] in, one
-            # table per (s, r) over mid.  A factor of 1 (s = r = 0) is a
-            # Python complex, every other one a numpy scalar, and from the
-            # first of those on the product is too.
-            scalar = False
+                mids, m = mids[live], m[live]
+            # each leg multiplies lower_amp[n][s] * raise_amp[mid][r] in, one
+            # table per (s, r) over mid
             for j, (s, r) in enumerate(zip(lows, highs)):
                 if (s, r) not in ladders:
-                    lo, hi = [_parts(np.array(column, dtype=complex)) for column in (
+                    ladders[s, r] = _mul(*(_parts(np.array(column, dtype=complex)) for column in (
                         [lower_amp[v + s][s] for v in range(m_max + 1 - s)],
-                        [raise_amp[v][r] for v in range(m_max + 1 - s)])]
-                    ladders[s, r] = lo, hi, _mul(lo, hi)
-                lo, hi, table = ladders[s, r]
-                v = mids[:, j]
-                if s or r:
-                    scalar = True
-                    first.op(keys, 1 + 2 * j, operator.mul, lo, hi, at=v)
-                ladder = table[0][v], table[1][v]
-                if scalar:
-                    first.op(keys, 2 + 2 * j, operator.mul, amp, ladder)
-                amp = _mul(amp, ladder)
+                        [raise_amp[v][r] for v in range(m_max + 1 - s)])))
+                table, v = ladders[s, r], mids[:, j]
+                amp = _mul(amp, (table[0][v], table[1][v]))
             # the target mids + highs of sector m + degree, the source
             # mids + lows of sector m
             pos = (offset[m] + _state_index(mids + highs) * cols[m]
                    + _state_index(mids + lows))
-            here = flat.real[pos], flat.imag[pos]
-            first.op(keys, 1 + 2 * legs, operator.add, here, amp)
-            flat.real[pos], flat.imag[pos] = here[0] + amp[0], here[1] + amp[1]
-    first.raise_first(_parts(flat))
+            flat.real[pos] += amp[0]
+            flat.imag[pos] += amp[1]
+    _check_finite(flat, offset, t)
     return SectorOperator(legs, degree, {m: flat[offset[m]:offset[m + 1]].reshape(rows[m], cols[m])
                                          for m in range(m_max + 1)})
 
@@ -543,18 +455,17 @@ class _RMatrixAmplitude:
                      * lam2 ** (-n))
             self.series.append(coeff)
 
-    def entries(self, n1, n2, n, keys, first):
+    def entries(self, n1, n2, n):
         """The (re, im) amplitudes of the entries (n1, n2, n), arrays with n
-        descending and n <= n1, n1 + n2 <= n_max, at the ranks ``keys`` of
-        the per-entry loop.  An entry takes c_n, then (XY)^(..), then for each
-        t < n the sqrt(F) pair (a numpy scalar product) into the amplitude,
+        descending and n <= n1, n1 + n2 <= n_max.  An entry takes c_n, then
+        (XY)^(..), then for each t < n the sqrt(F) pair into the amplitude,
         then the prefactor; each exponential comes from a table, one per
-        exponent and one per target."""
+        exponent and one per target, whose calls raise as they do."""
         p = self.params
         top = int((n1 + n2).max(initial=0))
         # (XY)^{n d - n(n + 1)} for d = n1 - n2 in 2n - top..top, per (n, d)
         amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
-            first, keys, 0, lambda n, d: cmath.exp(p.kappa1 * (n * d - n * (n + 1))),
+            lambda n, d: cmath.exp(p.kappa1 * (n * d - n * (n + 1))),
             [(n, d) for n in range(top + 1) for d in range(2 * n - top, top + 1)],
             n * (2 * top - n + 2) + n1 - n2 - 2 * n + top))
         # the sqrt(F) pair of each t < n, all at once, t by t: n descends, so
@@ -562,34 +473,23 @@ class _RMatrixAmplitude:
         t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
         x = tuple(part[n1[row] - t] for part in _parts(self.sqrt_f))
         y = tuple(part[n2[row] + 1 + t] for part in _parts(self.sqrt_f))
-        first.op(keys[row], 1 + 2 * t, operator.mul, x, y)
-        amp = _times_pairs(amp, _mul(x, y), np.bincount(t), keys, first)
+        amp = _times_pairs(amp, _mul(x, y), np.bincount(t))
         # at the target |t1, t2> of sector m = t1 + t2
         t1, m = n1 - n, n1 + n2
-        prefactor = _table(
-            first, keys, 1 + 2 * n,
+        return _mul(amp, _table(
             lambda t1, t2: cmath.exp(-p.kappa * (t1 + p.gamma) * (t2 + p.gamma)),
             [(t1, m - t1) for m in range(top + 1) for t1 in range(m + 1)],
-            m * (m + 1) // 2 + t1)
-        # a Python product where n = 0, a numpy scalar one otherwise
-        c = np.count_nonzero(n)
-        first.op(keys[:c], 2 + 2 * n[:c], operator.mul, (amp[0][:c], amp[1][:c]),
-                 (prefactor[0][:c], prefactor[1][:c]))
-        return _mul(amp, prefactor)
+            m * (m + 1) // 2 + t1))
 
 
-def _times_pairs(amp, pairs, counts, keys, first=None):
-    """The amplitudes ``amp`` times their sqrt(F) pairs, t by t: ``pairs``
-    holds, for t = 0, 1, .., one pair for each of the first counts[t]
-    entries.  Noted to ``first`` as numpy scalar products, when given."""
+def _times_pairs(amp, pairs, counts):
+    """The amplitudes ``amp`` times their sqrt(F) pairs, t by t: ``pairs`` holds,
+    for t = 0, 1, .., one pair for each of the first counts[t] entries."""
     out = tuple(part.copy() for part in amp)
     start = 0
-    for t, c in enumerate(counts.tolist()):
-        head = amp[0][:c], amp[1][:c]
+    for c in counts.tolist():
         pair = pairs[0][start:start + c], pairs[1][start:start + c]
-        if first is not None:
-            first.op(keys[:c], 2 + 2 * t, operator.mul, head, pair)
-        amp = _mul(head, pair)
+        amp = _mul((amp[0][:c], amp[1][:c]), pair)
         out[0][:c], out[1][:c] = amp
         start += c
     return out
@@ -634,7 +534,7 @@ class _OhSinghAmplitude:
                        * cmath.exp(-eps * alpha * n * (n - 3) / 4)
                        for n in range(n_max + 1)]
 
-    def entries(self, n1, n2, n, keys, first):
+    def entries(self, n1, n2, n):
         """The (re, im) amplitudes of the entries (n1, n2, n), as for the
         general form: c_n, the two series exponentials, the sqrt(F) pair of
         each t < n, the scalar prefactor with q^{-alpha t1 t2} and the leg
@@ -645,11 +545,9 @@ class _OhSinghAmplitude:
         upper = [(n, n1) for n1 in range(top + 1) for n in range(n1 + 1)]
         lower = [(n, s - n) for s in range(top + 1) for n in range(s + 1)]
         amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
-            first, keys, 0,
             lambda n, n1: cmath.exp(eps * alpha / 2 * (n * n1 - n * (n + 1) / 2)),
             upper, n1 * (n1 + 1) // 2 + n))
         amp = _mul(amp, _table(
-            first, keys, 1,
             lambda n, n2: cmath.exp(-eps * alpha / 2 * (n * n2 + n * (n + 1) / 2)),
             lower, (n + n2) * (n + n2 + 1) // 2 + n))
         # the sqrt(F) pair (u, w) = (n1 - t, n2 + 1 + t) of each t < n, with
@@ -659,36 +557,34 @@ class _OhSinghAmplitude:
         t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
         u, d = n1[row] - t, n1[row] + n2[row] + 1
         amp = _times_pairs(amp, tuple(part[(d - 2) * (d - 1) // 2 + u - 1] for part in pairs),
-                           np.bincount(t), keys)
+                           np.bincount(t))
         t1, t2 = n1 - n, n2 + n
         amp = _mul(amp, _table(
-            first, keys, 2, lambda t1, t2: self.scalar * cmath.exp(-eps * alpha * t1 * t2),
+            lambda t1, t2: self.scalar * cmath.exp(-eps * alpha * t1 * t2),
             lower, (t1 + t2) * (t1 + t2 + 1) // 2 + t1))
         return _mul(amp, _table(
-            first, keys, 3, lambda m: cmath.exp(-self.leg_exponent * m),
+            lambda m: cmath.exp(-self.leg_exponent * m),
             [(m,) for m in range(top + 1)], t1 + t2))
 
 
 def _blocks_from_amplitude(amp, m_max):
     """The 2-leg R blocks of sectors 0..m_max from ``amp.entries``: entry
     (j + n, j) of sector m takes |m - j, j> to |m - j - n, j + n>, placed
-    into one flat vector of the blocks.  The entries go in by n descending,
-    keyed by their place in the order (m, j, n) of a per-entry loop, whose
-    first error is the one raised."""
+    into one flat vector of the blocks, the entries taken by n descending;
+    a block that is not finite raises as ``_check_finite`` says, naming R."""
     k = np.arange(m_max + 1)
     n, m, j = np.nonzero(np.subtract.outer(k[::-1], np.subtract.outer(k, k)) <= 0)
     n = m_max - n
-    keys = m * (m + 1) * (m + 2) // 6 + j * (m + 1) - j * (j - 1) // 2 + n
-    first = _FirstError()
     with np.errstate(all="ignore"):
-        re, im = amp.entries(m - j, j, n, keys, first)
-    first.raise_first((re, im))
-    flat = np.zeros((m_max + 1) * (m_max + 2) * (2 * m_max + 3) // 6, dtype=complex)
-    pos = m * (m + 1) * (2 * m + 1) // 6 + (j + n) * (m + 1) + j
+        re, im = amp.entries(m - j, j, n)
+    offset = np.cumsum([0] + [(s + 1) ** 2 for s in range(m_max + 1)])
+    flat = np.zeros(offset[-1], dtype=complex)
+    pos = offset[m] + (j + n) * (m + 1) + j
     # as 0j + amplitude, which turns -0.0 into 0.0
     flat.real[pos], flat.imag[pos] = 0.0 + re, 0.0 + im
-    return SectorOperator(2, 0, {s: flat[s * (s + 1) * (2 * s + 1) // 6:][:(s + 1) ** 2]
-                                 .reshape(s + 1, s + 1) for s in range(m_max + 1)})
+    _check_finite(flat, offset, "R")
+    return SectorOperator(2, 0, {s: flat[offset[s]:offset[s + 1]].reshape(s + 1, s + 1)
+                                 for s in range(m_max + 1)})
 
 
 # the leg pairs of the embeddings R12, R13 and R23
@@ -774,24 +670,13 @@ def _split_block(split_plan, m, raw, coeffs, scale):
 
     Each piece is multiplied by its scalar with the scalar operand first and
     then row by row by its prefactor: the operations, and the operand order,
-    that give the bits of the pieces scaled and placed one by one.  Both
-    iterables are read lazily.  When a scalar or a product raises, the
-    pieces are multiplied again one at a time in series order, so that the
-    error is the one of the first piece that raises, in its scalar or in its
-    product, as when each piece is scaled on its own.
+    that give the bits of the pieces scaled and placed one by one.  A flag
+    raises as the caller's errstate says, for all pieces at once.
     """
     order, w, sizes, n, plan = split_plan
     out = np.zeros(n + m + 1, dtype=complex)
-    sc = []
-    try:
-        sc.extend(coeffs)
-        np.multiply(np.repeat(np.array(sc).take(order), sizes), raw[:n], out=out[:n])
-    except (ArithmeticError, ValueError):
-        ends = np.cumsum(sizes)
-        for c, k in zip(sc, np.argsort(order)):
-            c * raw[ends[k] - sizes[k]:ends[k]]
-        raise
-    scale = np.array(list(scale))
+    np.multiply(np.repeat(np.array(coeffs).take(order), sizes), raw[:n], out=out[:n])
+    scale = np.array(scale)
     out[:n] *= np.repeat(scale.take(w), sizes)
     out[n:] *= scale
     return out.take(plan)
@@ -884,14 +769,14 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     series, kappa, kappa1, gamma = amp.series, p.kappa, p.kappa1, p.gamma
     for m in range(m_max + 1):
         *_, left_plan, right_plan = _sector_plans(m)
-        left = _split_block(left_plan, m, downs, (
+        left = _split_block(left_plan, m, downs, [
             series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma)) * raise_amp[t3][n]
-            for t3 in range(m + 1) for n in range(m - t3 + 1)),
-            (cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)))
-        right = _split_block(right_plan, m, ups, (
+            for t3 in range(m + 1) for n in range(m - t3 + 1)],
+            [cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)])
+        right = _split_block(right_plan, m, ups, [
             series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma)) * lower_amp[n1][n]
-            for n1 in range(m + 1) for n in range(n1 + 1)),
-            (cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)))
+            for n1 in range(m + 1) for n in range(n1 + 1)],
+            [cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)])
         yield left, right
 
 

