@@ -30,13 +30,6 @@ vectors give bitwise-equal values.  Keys made by the operations of this
 module are canonical already and the constructor keeps them as they are;
 only outside keys are validated and lifted.
 
-``evaluate`` gives the value at one point; ``level_tables`` gives, at the
-integer levels 0..top of every variable, the factors ``evaluate`` multiplies
-each term by there (exp(mu * V) and V**k), so that a caller evaluating on
-many level points at once gets the bits of ``evaluate``.  Both take the
-exponential factor from ``_exp_factor``, the one place EXP_ARG_CAP is
-applied.
-
 Coefficients below ``PRUNE_REL_TOL`` relative to the largest magnitude met
 while building an expression are pruned; the threshold only has to absorb
 floating-point roundoff since every identity in scope cancels exactly.
@@ -471,8 +464,8 @@ class ExpPoly:
 
         Each term is its coefficient times, variable by variable,
         ``_exp_factor(mu, V)`` and then V**k where k > 0, summed from 0j in
-        term order; ``level_tables`` holds the same factors.  The first
-        term with |mu * V| past EXP_ARG_CAP raises EvaluationOverflow."""
+        term order.  The first term with |mu * V| past EXP_ARG_CAP raises
+        EvaluationOverflow."""
         try:
             pts = list(map(complex, point))
         except (TypeError, ValueError):
@@ -492,28 +485,6 @@ class ExpPoly:
                     val *= v**k
             total += val
         return total
-
-    def level_tables(self, top):
-        """The factors ``evaluate`` takes at the levels 0..top of every
-        variable, per term: (c, legs) with one pair (exps, powers) per
-        variable, exps[v] = ``_exp_factor(mu, v)``, or None where that
-        raises, and powers[v] = v**k, or None for k = 0.  Evaluating at a
-        point of levels from the tables, with the operations and the order
-        of ``evaluate``, gives its bits; a point that reads a None is one
-        where ``evaluate`` raises."""
-        levels = [complex(v) for v in range(top + 1)]
-        exps = {}
-        for key in self.terms:
-            for mu, _ in key:
-                if mu not in exps:
-                    exps[mu] = row = []
-                    for v in levels:
-                        try:
-                            row.append(_exp_factor(mu, v))
-                        except (ArithmeticError, ValueError):
-                            row.append(None)
-        return [(c, [(exps[mu], [v**k for v in levels] if k else None) for mu, k in key])
-                for key, c in self.terms.items()]
 
     __call__ = evaluate
 

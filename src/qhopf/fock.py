@@ -37,17 +37,17 @@ swap |n1, n2> -> |n2, n1> reverses the basis of every 2-leg sector.
 The entries of ``represent_tensor`` and of the R blocks are formed for all
 sectors at once as element-wise array products and placed into one flat
 vector of the blocks by index arithmetic.  Each exponential and power goes
-into a table once per level (or per argument the per-entry formula reads):
-coefficient functions through ``ExpPoly.level_tables``, which shares its
-factors with ``ExpPoly.evaluate`` and alone applies the exponent cap; this
-module holds no evaluator or cap of its own.  Every complex product is
-taken from real and imaginary parts (``_mul``), as a Python or numpy scalar
-product is, so the blocks are bit for bit those of evaluating entry by
-entry (the sign and payload of a nan aside).  The arrays run under
-``np.errstate(all="ignore")`` and never warn: a table call that raises, the
-exponent cap included, raises as it is, and a block that is not finite is
-refused when the caller's errstate raises on overflow or invalid
-(``_check_finite``).
+into a table once per level, or per argument tuple the per-entry formula
+reads (``_table``); the exponential factors of a coefficient function come
+from ``expalg._exp_factor``, the one routine of ``ExpPoly.evaluate`` that
+applies the exponent cap, so this module holds no evaluator or cap of its
+own.  Every complex product is taken from real and imaginary parts
+(``_mul``), as a Python or numpy scalar product is, so the blocks are bit
+for bit those of evaluating entry by entry (the sign and payload of a nan
+aside).  The arrays run under ``np.errstate(all="ignore")`` and never warn:
+a table call that raises, the exponent cap included, raises as it is, and a
+block that is not finite is refused when the caller's errstate raises on
+overflow or invalid (``_sector_blocks``).
 """
 
 import cmath
@@ -56,6 +56,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .expalg import _exp_factor
 from .hopf import HopfOscillator, structure_function_values
 from .report import CheckReport, jsonable
 
@@ -284,26 +285,35 @@ def _parts(z):
     return z.real, z.imag
 
 
-def _table(fn, grid, index):
-    """``fn(*args)`` for each argument tuple of ``grid``, read per row at
-    ``index``, as an (re, im) pair: each call the per-entry loop makes, made
-    once, and only where some row reads it.  A call that raises, raises."""
-    read = np.flatnonzero(np.bincount(index, minlength=len(grid)))
-    values = np.zeros(len(grid), dtype=complex)
-    values[read] = [fn(*grid[i]) for i in read.tolist()]
+def _table(fn, *args):
+    """``fn`` of each row's arguments, given as one integer array per
+    argument, as an (re, im) pair: ``fn`` is called once on each argument
+    tuple that some row reads, in ascending order of the tuples, as the
+    per-entry loop would call it.  A call that raises, raises."""
+    low = [int(a.min(initial=0)) for a in args]
+    shape = [int(a.max(initial=0)) - lo + 1 for a, lo in zip(args, low)]
+    index = np.ravel_multi_index([a - lo for a, lo in zip(args, low)], shape)
+    read = np.flatnonzero(np.bincount(index))
+    values = np.zeros(math.prod(shape), dtype=complex)
+    values[read] = [fn(*point) for point in zip(*(
+        (i + lo).tolist() for i, lo in zip(np.unravel_index(read, shape), low)))]
     return _parts(values[index])
 
 
-def _check_finite(flat, offset, name):
-    """Raise FloatingPointError naming ``name`` and the lowest sector m whose
-    block ``flat[offset[m]:offset[m + 1]]`` is not finite, if the caller's
-    errstate raises on overflow or invalid."""
+def _sector_blocks(legs, degree, flat, offset, name):
+    """The SectorOperator whose sector m block, sector m to m + degree, is
+    ``flat[offset[m]:offset[m + 1]]`` in row-major order.  If the caller's
+    errstate raises on overflow or invalid, a block that is not finite
+    raises FloatingPointError naming ``name`` and the lowest such sector."""
     errstate = np.geterr()
     if "raise" in (errstate["over"], errstate["invalid"]):
         bad = np.flatnonzero(~np.isfinite(flat))
         if len(bad):
             m = np.searchsorted(offset, bad[0], side="right") - 1
             raise FloatingPointError(f"the sector {m} block of {name} is not finite")
+    return SectorOperator(legs, degree, {
+        m: flat[offset[m]:offset[m + 1]].reshape(sector_dim(m + degree, legs), sector_dim(m, legs))
+        for m in range(len(offset) - 1)})
 
 
 def _state_index(states):
@@ -314,25 +324,34 @@ def _state_index(states):
 
 
 def _coefficients(poly, levels):
-    """``poly.evaluate`` at each row of ``levels`` from its level tables, with
-    the products and sums of ``evaluate`` in its order, as an (re, im) pair.
-    When a row reads a level past the exponent cap (a None of the tables),
-    ``evaluate`` at the first such row raises EvaluationOverflow."""
+    """``poly.evaluate`` at each row of ``levels`` as an (re, im) pair, with
+    the factors, products and sums of ``evaluate`` in its order: per exponent
+    mu, ``_exp_factor(mu, v)`` tabulated over the levels v = 0..top, and
+    v**k.  When a row reads a level where ``_exp_factor`` raises (past the
+    exponent cap), ``evaluate`` at the first such row raises
+    EvaluationOverflow."""
+    points = [complex(v) for v in range(int(levels.max(initial=0)) + 1)]
     total = np.zeros(len(levels)), np.zeros(len(levels))
-    capped, arrays = None, {}
-    for c, factors in poly.level_tables(int(levels.max(initial=0))):
+    capped, exps = None, {}
+    for key, c in poly.terms.items():
         val = c.real, c.imag
-        for (exps, powers), v in zip(factors, levels.T):
-            if id(exps) not in arrays:
-                arrays[id(exps)] = (*_parts(np.array([math.nan if e is None else e for e in exps],
-                                                     dtype=complex)),
-                                    np.array([e is None for e in exps]) if None in exps else None)
-            re, im, missing = arrays[id(exps)]
+        for (mu, k), v in zip(key, levels.T):
+            if mu not in exps:
+                row = []
+                for x in points:
+                    try:
+                        row.append(_exp_factor(mu, x))
+                    except (ArithmeticError, ValueError):
+                        row.append(None)
+                exps[mu] = (*_parts(np.array([math.nan if e is None else e for e in row],
+                                             dtype=complex)),
+                            np.array([e is None for e in row]) if None in row else None)
+            re, im, missing = exps[mu]
             if missing is not None:
                 capped = missing[v] if capped is None else capped | missing[v]
             val = _mul(val, (re[v], im[v]))
-            if powers is not None:
-                val = _mul(val, _parts(np.array(powers, dtype=complex)[v]))
+            if k:
+                val = _mul(val, _parts(np.array([x**k for x in points])[v]))
         total = total[0] + val[0], total[1] + val[1]
     if capped is not None and capped.any():
         poly.evaluate(*levels[capped.argmax()].tolist())
@@ -346,14 +365,14 @@ def represent_tensor(t, params, m_max):
     All terms must share one total level shift; the blocks are exact because
     sectors are closed under the action.  Each term is evaluated only on the
     states it reaches, of all sectors at once: its coefficient from the
-    level tables of ``ExpPoly.level_tables`` (the factors of
-    ``ExpPoly.evaluate``), times the ladder amplitudes of each leg, placed
-    into one flat vector of the blocks by index arithmetic.  The entries
-    have the bits of evaluating state by state, in the order (sector, term,
-    state) with each entry summing its terms in order.  An exponent past the
-    cap at a level some reachable state reads raises EvaluationOverflow from
-    ``ExpPoly.evaluate``, one that no reachable state reads never does, and
-    a block that is not finite raises as ``_check_finite`` says, naming ``t``.
+    factors of ``ExpPoly.evaluate`` tabulated per level (``_coefficients``),
+    times the ladder amplitudes of each leg, placed into one flat vector of
+    the blocks by index arithmetic.  The entries have the bits of evaluating
+    state by state, in the order (sector, term, state) with each entry
+    summing its terms in order.  An exponent past the cap at a level some
+    reachable state reads raises EvaluationOverflow from ``ExpPoly.evaluate``,
+    one that no reachable state reads never does, and a block that is not
+    finite raises as ``_sector_blocks`` says, naming ``t``.
     """
     degrees = t.degrees()
     if len(degrees) > 1:
@@ -381,10 +400,9 @@ def represent_tensor(t, params, m_max):
     else:
         level, a, b = np.nonzero((k[:, None, None] >= k[:, None]) & (k[:, None] >= k))
         states = np.stack([level - a, a - b, b], axis=1)
-    cols = [sector_dim(m, legs) for m in range(m_max + 1)]
-    rows = [sector_dim(m + degree, legs) for m in range(m_max + 1)]
-    offset = np.cumsum([0] + [r * c for r, c in zip(rows, cols)])
-    start, cols = np.cumsum([0] + cols), np.array(cols)
+    cols = np.array([sector_dim(m, legs) for m in range(m_max + 1)])
+    offset = np.cumsum([0] + [sector_dim(m + degree, legs) * c for m, c in enumerate(cols)])
+    start = np.cumsum([0, *cols])
     flat = np.zeros(offset[-1], dtype=complex)
     ladders = {}
     with np.errstate(all="ignore"):
@@ -413,12 +431,21 @@ def represent_tensor(t, params, m_max):
                    + _state_index(mids + lows))
             flat.real[pos] += amp[0]
             flat.imag[pos] += amp[1]
-    _check_finite(flat, offset, t)
-    return SectorOperator(legs, degree, {m: flat[offset[m]:offset[m + 1]].reshape(rows[m], cols[m])
-                                         for m in range(m_max + 1)})
+    return _sector_blocks(legs, degree, flat, offset, t)
 
 
 # ------------------------------------------------------------------ R-matrix
+def _power(name, x, e):
+    """``x ** e``; where that raises (zero to a negative power, or a value out
+    of range, which float ``**`` reports as an errno tuple), an OverflowError
+    naming the quantity ``name``."""
+    try:
+        return x ** e
+    except (ZeroDivisionError, OverflowError):
+        raise OverflowError(f"{name} = ({str(x).strip('()')})**{e} exceeds double "
+                            "precision") from None
+
+
 class _RMatrixAmplitude:
     """The entries of the universal R-matrix in the general form.
 
@@ -447,47 +474,44 @@ class _RMatrixAmplitude:
             if abs(bracket) < 1e-12:
                 raise ValueError(f"[{n}]_X vanishes; the series normalization fails")
             bracket_fact.append(bracket_fact[-1] * bracket)
-        self.series = []
-        for n in range(n_max + 1):
-            coeff = ((1 - x_sq) ** n / bracket_fact[n]
-                     * cmath.exp(-kappa * n * (n - 1) / 4)       # X^{-n(n-1)/2}
-                     * cmath.exp((params.kappa1 + params.kappa2) / 2 * n)  # Y^n
-                     * lam2 ** (-n))
-            self.series.append(coeff)
+        self.series = [(1 - x_sq) ** n / bracket_fact[n]
+                       * cmath.exp(-kappa * n * (n - 1) / 4)       # X^{-n(n-1)/2}
+                       * cmath.exp((params.kappa1 + params.kappa2) / 2 * n)  # Y^n
+                       * _power("lambda^(-2n)", lam2, -n) for n in range(n_max + 1)]
 
     def entries(self, n1, n2, n):
         """The (re, im) amplitudes of the entries (n1, n2, n), arrays with n
         descending and n <= n1, n1 + n2 <= n_max.  An entry takes c_n, then
-        (XY)^(..), then for each t < n the sqrt(F) pair into the amplitude,
-        then the prefactor; each exponential comes from a table, one per
-        exponent and one per target, whose calls raise as they do."""
+        (XY)^(..), then the sqrt(F) pair of each t < n, then the prefactor;
+        each exponential comes from a table whose calls raise as they do, a
+        prefactor exponent that ``cmath.exp`` refuses as OverflowError."""
         p = self.params
-        top = int((n1 + n2).max(initial=0))
-        # (XY)^{n d - n(n + 1)} for d = n1 - n2 in 2n - top..top, per (n, d)
+
+        def prefactor(m, t1):
+            z = -p.kappa * (t1 + p.gamma) * (m - t1 + p.gamma)  # at |t1, m - t1>
+            try:
+                return cmath.exp(z)
+            except ValueError:
+                raise OverflowError(f"-kappa*({t1}+gamma)*({m - t1}+gamma) = {z} exceeds "
+                                    "double precision") from None
+
+        # (XY)^{n d - n(n + 1)} for d = n1 - n2
         amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
-            lambda n, d: cmath.exp(p.kappa1 * (n * d - n * (n + 1))),
-            [(n, d) for n in range(top + 1) for d in range(2 * n - top, top + 1)],
-            n * (2 * top - n + 2) + n1 - n2 - 2 * n + top))
-        # the sqrt(F) pair of each t < n, all at once, t by t: n descends, so
-        # the entries with n > t are the first counts[t]
-        t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
-        x = tuple(part[n1[row] - t] for part in _parts(self.sqrt_f))
-        y = tuple(part[n2[row] + 1 + t] for part in _parts(self.sqrt_f))
-        amp = _times_pairs(amp, _mul(x, y), np.bincount(t))
-        # at the target |t1, t2> of sector m = t1 + t2
-        t1, m = n1 - n, n1 + n2
-        return _mul(amp, _table(
-            lambda t1, t2: cmath.exp(-p.kappa * (t1 + p.gamma) * (t2 + p.gamma)),
-            [(t1, m - t1) for m in range(top + 1) for t1 in range(m + 1)],
-            m * (m + 1) // 2 + t1))
+            lambda n, d: cmath.exp(p.kappa1 * (n * d - n * (n + 1))), n, n1 - n2))
+        amp = _times_pairs(amp, n1, n2, n, self.sqrt_f)
+        return _mul(amp, _table(prefactor, n1 + n2, n1 - n))
 
 
-def _times_pairs(amp, pairs, counts):
-    """The amplitudes ``amp`` times their sqrt(F) pairs, t by t: ``pairs`` holds,
-    for t = 0, 1, .., one pair for each of the first counts[t] entries."""
+def _times_pairs(amp, n1, n2, n, sqrt_f):
+    """The amplitudes ``amp`` of the entries (n1, n2, n), n descending, times
+    the sqrt(F) pair sqrt_f[n1 - t] * sqrt_f[n2 + 1 + t] of each t < n, t by
+    t: the entries with n > t come first."""
+    t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
+    sqrt_f = _parts(np.asarray(sqrt_f, dtype=complex))
+    pairs = _mul(*(tuple(part[i] for part in sqrt_f) for i in (n1[row] - t, n2[row] + 1 + t)))
     out = tuple(part.copy() for part in amp)
     start = 0
-    for c in counts.tolist():
+    for c in np.bincount(t).tolist():
         pair = pairs[0][start:start + c], pairs[1][start:start + c]
         amp = _mul((amp[0][:c], amp[1][:c]), pair)
         out[0][:c], out[1][:c] = amp
@@ -515,10 +539,10 @@ class _OhSinghAmplitude:
             f_vals.append(f_vals[-1] + g_fn(j))
         self.sqrt_f = [math.sqrt(v) if v >= 0 else complex(0, math.sqrt(-v))
                        for v in f_vals]
-        half_pi_odd = (2 * k + 1) * math.pi / 2
-        self.leg_exponent = eps * (beta + 0.5) + 1j * half_pi_odd
-        prefactor_exp = -(1 / alpha) * ((beta + 0.5) ** 2
-                                        - ((2 * k + 1) * math.pi / (2 * eps)) ** 2
+        self.leg_exponent = eps * (beta + 0.5) + 1j * ((2 * k + 1) * math.pi / 2)
+        prefactor_exp = -(1 / alpha) * (_power("(beta+1/2)^2", beta + 0.5, 2)
+                                        - _power("((2k+1)pi/(2 eps))^2",
+                                                 (2 * k + 1) * math.pi / (2 * eps), 2)
                                         + 1j * (2 * beta + 1) * (2 * k + 1) * math.pi
                                         / (2 * eps))
         self.scalar = cmath.exp(eps * prefactor_exp)
@@ -539,39 +563,23 @@ class _OhSinghAmplitude:
         general form: c_n, the two series exponentials, the sqrt(F) pair of
         each t < n, the scalar prefactor with q^{-alpha t1 t2} and the leg
         exponential, all Python products, each exponential from a table."""
-        eps, alpha, sqrt_f = self.eps, self.alpha, self.sqrt_f
-        top = int((n1 + n2).max(initial=0))
-        # (n, n1) with n <= n1, and (n, n2) with n + n2 <= top
-        upper = [(n, n1) for n1 in range(top + 1) for n in range(n1 + 1)]
-        lower = [(n, s - n) for s in range(top + 1) for n in range(s + 1)]
+        eps, alpha = self.eps, self.alpha
         amp = _mul(_parts(np.array(self.series, dtype=complex)[n]), _table(
-            lambda n, n1: cmath.exp(eps * alpha / 2 * (n * n1 - n * (n + 1) / 2)),
-            upper, n1 * (n1 + 1) // 2 + n))
+            lambda n, n1: cmath.exp(eps * alpha / 2 * (n * n1 - n * (n + 1) / 2)), n, n1))
         amp = _mul(amp, _table(
-            lambda n, n2: cmath.exp(-eps * alpha / 2 * (n * n2 + n * (n + 1) / 2)),
-            lower, (n + n2) * (n + n2 + 1) // 2 + n))
-        # the sqrt(F) pair (u, w) = (n1 - t, n2 + 1 + t) of each t < n, with
-        # u + w <= top + 1, by t as for the general form
-        pairs = _parts(np.array([complex(sqrt_f[u] * sqrt_f[d - u]) for d in range(2, top + 2)
-                                 for u in range(1, d)], dtype=complex))
-        t, row = np.nonzero(np.arange(n.max(initial=0))[:, None] < n)
-        u, d = n1[row] - t, n1[row] + n2[row] + 1
-        amp = _times_pairs(amp, tuple(part[(d - 2) * (d - 1) // 2 + u - 1] for part in pairs),
-                           np.bincount(t))
+            lambda n, n2: cmath.exp(-eps * alpha / 2 * (n * n2 + n * (n + 1) / 2)), n, n2))
+        amp = _times_pairs(amp, n1, n2, n, self.sqrt_f)
         t1, t2 = n1 - n, n2 + n
         amp = _mul(amp, _table(
-            lambda t1, t2: self.scalar * cmath.exp(-eps * alpha * t1 * t2),
-            lower, (t1 + t2) * (t1 + t2 + 1) // 2 + t1))
-        return _mul(amp, _table(
-            lambda m: cmath.exp(-self.leg_exponent * m),
-            [(m,) for m in range(top + 1)], t1 + t2))
+            lambda t1, t2: self.scalar * cmath.exp(-eps * alpha * t1 * t2), t1, t2))
+        return _mul(amp, _table(lambda m: cmath.exp(-self.leg_exponent * m), t1 + t2))
 
 
 def _blocks_from_amplitude(amp, m_max):
     """The 2-leg R blocks of sectors 0..m_max from ``amp.entries``: entry
     (j + n, j) of sector m takes |m - j, j> to |m - j - n, j + n>, placed
     into one flat vector of the blocks, the entries taken by n descending;
-    a block that is not finite raises as ``_check_finite`` says, naming R."""
+    a block that is not finite raises as ``_sector_blocks`` says, naming R."""
     k = np.arange(m_max + 1)
     n, m, j = np.nonzero(np.subtract.outer(k[::-1], np.subtract.outer(k, k)) <= 0)
     n = m_max - n
@@ -582,9 +590,7 @@ def _blocks_from_amplitude(amp, m_max):
     pos = offset[m] + (j + n) * (m + 1) + j
     # as 0j + amplitude, which turns -0.0 into 0.0
     flat.real[pos], flat.imag[pos] = 0.0 + re, 0.0 + im
-    _check_finite(flat, offset, "R")
-    return SectorOperator(2, 0, {s: flat[offset[s]:offset[s + 1]].reshape(s + 1, s + 1)
-                                 for s in range(m_max + 1)})
+    return _sector_blocks(2, 0, flat, offset, "R")
 
 
 # the leg pairs of the embeddings R12, R13 and R23

@@ -97,8 +97,9 @@ class HopfParams:
     """Parameter pack with derived scalars.
 
     ``g0`` is G(0), except on the gamma_zero branch where it plays G'(0).
-    ``x = exp(kappa/2)``, ``y = exp((kappa1+kappa2)/2)`` and ``lambda_sq``
-    (populated on the generic branch only) feed the R-matrix series.
+    ``lambda_sq`` (populated on the generic branch only) feeds the R-matrix
+    series.  ``x = exp(kappa/2)`` and ``y = exp((kappa1+kappa2)/2)`` are the
+    X and Y of its formulas, kept for display; the series does not read them.
     """
 
     def __init__(self, kappa1, kappa2, gamma, g0, branch, kappa, x, y, lambda_sq):

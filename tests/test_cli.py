@@ -706,12 +706,33 @@ _B0_OVERFLOW = ("classify", "--xi", "0", "--eta", "1e308", "--gamma1", "1e308",
 _R_BLOCK_OVERFLOW = ("verify-rmatrix", "--kappa1=-4.47292", "--kappa2=-0.0136611+0.977599i",
                      "--g0=1.69292e+201-2.72052e+189i", "--gamma1=-0.0169257",
                      "--max-sector=10")
+# a q-oscillator prefactor square that float ** cannot hold
+_OS_PI_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=1e-300", "--alpha=-4.2595",
+                          "--beta=4.10444e-129", "--k=-31", "--oh-singh", "--max-sector=2")
+_OS_BETA_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=2e-154", "--alpha=1", "--beta=1e156",
+                            "--k=0", "--oh-singh", "--max-sector=2")
+# an R prefactor exponent that is not finite, which cmath.exp refuses
+_R_PREFACTOR_EXPONENT = ("verify-rmatrix", "--kappa1=-5.197e-302", "--kappa2=0-0.961336i",
+                         "--g0=3.01422", "--gamma1=4.92384e+296", "--gamma2=-2.82046",
+                         "--max-sector=6")
+# lambda^(-2n) of a lambda^2 so small that its power underflows to zero, or
+# overflows
+_LAMBDA_POWER_ZERO = ("verify-rmatrix", "--kappa1=1.5413e-34-2.93859e-294i",
+                      "--kappa2=-0.954913", "--gamma1=-0.505876", "--g0=-7.14203e-69",
+                      "--max-sector=12")
+_LAMBDA_POWER_RANGE = ("verify-rmatrix", "--kappa1=2.63588-1.72322i", "--kappa2=2.58303",
+                       "--gamma1=-2.22072", "--k=-4", "--g0=0.300762", "--max-sector=8")
 # the quantity or block that each refusal names, not a bare "math domain
-# error" or numpy flag
+# error", errno tuple or numpy flag
 _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
                        _A0_OVERFLOW: "A(0) = xi*gamma1 - eta*gamma2 = ",
                        _B0_OVERFLOW: "B(0) = xi*gamma2 + eta*gamma1 = ",
-                       _R_BLOCK_OVERFLOW: "the sector 2 block of R is not finite)"}
+                       _R_BLOCK_OVERFLOW: "the sector 2 block of R is not finite)",
+                       _OS_PI_SQUARE_OVERFLOW: "((2k+1)pi/(2 eps))^2 = (",
+                       _OS_BETA_SQUARE_OVERFLOW: "(beta+1/2)^2 = (1e+156)**2 ",
+                       _R_PREFACTOR_EXPONENT: "-kappa*(0+gamma)*(0+gamma) = (",
+                       _LAMBDA_POWER_ZERO: "lambda^(-2n) = (",
+                       _LAMBDA_POWER_RANGE: "lambda^(-2n) = ("}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -748,6 +769,12 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
     (_B0_OVERFLOW, {}),
     # an R block that is not finite is refused by sector
     (_R_BLOCK_OVERFLOW, {}),
+    # and a quantity of the R series that cannot be formed, by its name
+    (_OS_PI_SQUARE_OVERFLOW, {}),
+    (_OS_BETA_SQUARE_OVERFLOW, {}),
+    (_R_PREFACTOR_EXPONENT, {}),
+    (_LAMBDA_POWER_ZERO, {}),
+    (_LAMBDA_POWER_RANGE, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a

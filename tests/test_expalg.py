@@ -3,9 +3,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qhopf.expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference, exponent
+from qhopf.fock import _coefficients
 
 
 def random_poly(rng, arity=1, n_terms=4, max_power=2):
@@ -243,9 +245,10 @@ def test_evaluate_arity_checked():
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_level_tables_give_the_bits_of_evaluate(arity):
-    # evaluate at every point of levels 0..top, taken from the tables with
-    # evaluate's products and sums, has evaluate's bits; an exponential
-    # factor is None exactly where evaluate raises, at |mu*V| past the cap
+    # fock._coefficients tabulates the factors of evaluate per level; at
+    # every point of levels 0..top it has evaluate's bits, signed zeros
+    # included, and raises EvaluationOverflow exactly where evaluate raises,
+    # at |mu*V| past the cap
     rng = random.Random(arity)
     terms = {}
     for _ in range(4):
@@ -253,29 +256,35 @@ def test_level_tables_give_the_bits_of_evaluate(arity):
                      rng.randint(0, 2)) for _ in range(arity))
         terms[key] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     f, top = ExpPoly(arity, terms), 6
-    tables = f.level_tables(top)
-    assert [c for c, _ in tables] == list(f.terms.values())
-    for point in itertools.product(range(top + 1), repeat=arity):
-        factors = [[leg[0][v] for leg, v in zip(legs, point)] for _, legs in tables]
-        if any(e is None for row in factors for e in row):
+    points = list(itertools.product(range(top + 1), repeat=arity))
+    finite, refused = [], []
+    for point in points:
+        capped = any(abs(mu * v) > EXP_ARG_CAP for key in f.terms for (mu, _), v in zip(key, point))
+        try:
+            want = f.evaluate(*point)
+        except EvaluationOverflow:
+            assert capped
             with pytest.raises(EvaluationOverflow):
-                f.evaluate(*point)
+                _coefficients(f, np.array([point]))
+            refused.append(point)
             continue
-        total = 0j
-        for c, legs in tables:
-            val = c
-            for (exps, powers), v in zip(legs, point):
-                val *= exps[v]
-                if powers is not None:
-                    val *= powers[v]
-            total += val
-        got = f.evaluate(*point)
-        assert (got.real, got.imag) == (total.real, total.imag)
-        assert math.copysign(1, got.real) == math.copysign(1, total.real)
-        assert math.copysign(1, got.imag) == math.copysign(1, total.imag)
-    for (mu_k, (exps, _)) in zip(next(iter(f.terms)), tables[0][1]):
-        assert [e is None for e in exps] == [abs(mu_k[0] * v) > EXP_ARG_CAP
-                                           for v in range(top + 1)]
+        assert not capped
+        finite.append((point, want))
+    assert finite and refused
+    # the points evaluate takes, all at once, and each alone
+    re, im = _coefficients(f, np.array([point for point, _ in finite]))
+    for (point, want), got in zip(finite, zip(re.tolist(), im.tolist())):
+        alone = [part.tolist() for part in _coefficients(f, np.array([point]))]
+        for value in (got, tuple(x for (x,) in alone)):
+            assert value == (want.real, want.imag)
+            assert [math.copysign(1, x) for x in value] == [math.copysign(1, want.real),
+                                                             math.copysign(1, want.imag)]
+    # a batch that reads a capped level raises as evaluate at its first such point
+    with pytest.raises(EvaluationOverflow) as caught:
+        _coefficients(f, np.array(points))
+    with pytest.raises(EvaluationOverflow) as expected:
+        f.evaluate(*refused[0])
+    assert str(caught.value) == str(expected.value)
 
 
 def test_evaluation_homomorphism():
