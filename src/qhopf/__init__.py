@@ -38,10 +38,9 @@ _EXPORTS = {
                         "param_map_oh_singh", "pointwise_reality", "q_bracket",
                         "reality_defect", "verify_ci_conditions", "verify_g_recursion"),
         "report": ("CheckReport",),
-        "fock": ("FockWindow", "NonUnitarizableWindowError", "SectorOperator",
-                 "build_rmatrix", "build_rmatrix_oh_singh", "check_quasitriangularity",
-                 "check_yang_baxter", "compare_sector_operators", "interior_residual",
-                 "represent_tensor", "sector_dim", "sector_states"),
+        "fock": ("FockWindow", "SectorOperator", "build_rmatrix", "build_rmatrix_oh_singh",
+                 "check_quasitriangularity", "check_yang_baxter", "compare_sector_operators",
+                 "interior_residual", "represent_tensor", "sector_dim", "sector_states"),
     }.items()
     for name in names
 }

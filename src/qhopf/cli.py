@@ -13,10 +13,12 @@ Parameters are accepted either in oscillator form (--kappa1 --kappa2
 --gamma1 [--gamma2 | --k] --g0) or in q-oscillator form (--eps | --q
 --alpha --beta --k); mixing the two styles is a usage error.  ``classify``
 additionally accepts the real-decomposition form, which takes only --xi
---eta --gamma1 --gamma2 --g0.  A JSON --config file may supply the same keys; explicit flags
-win.  Exit codes: 0 all checks passed, 1 an identity was judged false, 2 a
-usage error, or a pack or value that is not finite or exceeds double
-precision or the exponent cap.
+--eta --gamma1 --gamma2 --g0.  A JSON --config file may supply the same
+keys; explicit flags win.  ``verify-rmatrix --max-sector`` must lie in
+0..MAX_SECTOR, as --max-order and --n-max must lie in their ranges; a value
+outside is a usage error.  Exit codes: 0 all checks passed, 1 an identity
+was judged false, 2 a usage error, or a pack or value that is not finite or
+exceeds double precision or the exponent cap.
 """
 
 import argparse
@@ -24,12 +26,13 @@ import cmath
 import functools
 import json
 import math
-import os
 import sys
 
 from .report import CheckReport
 
-DEFAULT_SECTOR_CAP = 8
+# the largest --max-sector: the 3-leg blocks of sectors 0..M hold about
+# M^5/20 entries, and at M = 32 a run takes about 1.5 s and 220 MB
+MAX_SECTOR = 32
 
 _OSC_KEYS = ("kappa1", "kappa2", "gamma1", "gamma2", "g0")
 _OHS_KEYS = ("eps", "q", "alpha", "beta")
@@ -106,36 +109,19 @@ def _int_flag(vals, key, default, top=None):
     return value
 
 
-class _Values:
-    """Merged view of CLI flags over the optional JSON config."""
-
-    def __init__(self, ns, config):
-        self.ns = vars(ns)
-        self.config = config
-
-    def get(self, key):
-        v = self.ns.get(key)
-        if v is not None:
-            return v
-        return self.config.get(key)
-
-    def has(self, key):
-        return self.get(key) is not None
-
-
 def _detect_style(vals):
     # gamma1/gamma2 belong to the oscillator and hermiticity styles; in the
     # q-oscillator style gamma is derived, so giving both is also mixing
-    osc = [k for k in _OSC_KEYS if vals.has(k)]
-    ohs = [k for k in _OHS_KEYS if vals.has(k)]
-    herm = [k for k in _HERM_KEYS if vals.has(k)]
+    osc = [k for k in _OSC_KEYS if k in vals]
+    ohs = [k for k in _OHS_KEYS if k in vals]
+    herm = [k for k in _HERM_KEYS if k in vals]
     if ohs and (osc or herm):
         raise UsageError("oscillator-style and q-oscillator-style parameters mixed")
     if ohs:
         return "ohsingh"
     if herm:
         # the Hermiticity form takes --xi --eta --gamma1 --gamma2 --g0 only
-        extra = [f"--{k}" for k in ("kappa1", "kappa2", "k") if vals.has(k)]
+        extra = [f"--{k}" for k in ("kappa1", "kappa2", "k") if k in vals]
         if extra:
             raise UsageError(f"Hermiticity-form parameters (--xi/--eta) mixed with "
                              f"{', '.join(extra)}")
@@ -195,23 +181,19 @@ def _resolve_oscillator(vals):
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_params(vals):
+def _resolve(vals, oh_singh=False):
+    """The q-oscillator pack (None in oscillator form) and the parameter pack
+    it maps to.  Under ``oh_singh`` the parameters must be in q-oscillator
+    form."""
     style = _detect_style(vals)
-    if style == "ohsingh":
+    if style == "ohsingh" or oh_singh:
         from .constraints import param_map_oh_singh
 
-        return param_map_oh_singh(_resolve_ohsingh(vals))
+        o = _resolve_ohsingh(vals)
+        return o, param_map_oh_singh(o)
     if style == "oscillator":
-        return _resolve_oscillator(vals)
+        return None, _resolve_oscillator(vals)
     raise UsageError("this subcommand needs oscillator or q-oscillator parameters")
-
-
-def _sector_limit(requested):
-    raw = os.environ.get("QHOPF_MAX_SECTOR", str(DEFAULT_SECTOR_CAP))
-    if not raw.strip().isdecimal():
-        raise UsageError(f"QHOPF_MAX_SECTOR must be a non-negative integer, got {raw!r}")
-    cap = int(raw)
-    return min(requested, cap), cap
 
 
 # ------------------------------------------------------------------ commands
@@ -241,7 +223,7 @@ def _cmd_classify(vals):
         rep.add("classification-pointwise-agreement", agree, worst,
                 f"max |Im G(n)| / max |G(n)| at n={witness}")
         return rep
-    params = _resolve_params(vals)
+    _, params = _resolve(vals)
     verdict = classify_family(params)
     rep = CheckReport(params=params.to_dict())
     rep.params["verdict"] = verdict.to_dict()
@@ -252,7 +234,7 @@ def _cmd_classify(vals):
 
 def _cmd_verify_hopf(vals):
     max_order = _int_flag(vals, "max_order", 6, top=12)
-    params = _resolve_params(vals)
+    _, params = _resolve(vals)
     from .constraints import verify_ci_conditions, verify_g_recursion
     from .hopf import HopfOscillator
 
@@ -266,28 +248,18 @@ def _cmd_verify_hopf(vals):
 
 
 def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
-    requested = _int_flag(vals, "max_sector", 6)
-    m_max, cap = _sector_limit(requested)
-    rep = CheckReport()
+    m_max = _int_flag(vals, "max_sector", 6, top=MAX_SECTOR)
     # each subcommand loads its layers only after the checks that need none,
     # so a run refused for its sector cap or its parameters loads neither
     # numpy nor the R-matrix layer, which load for verify-rmatrix alone
+    o, params = _resolve(vals, oh_singh=oh_singh_mode)
+    if params.branch != "generic":
+        raise UsageError(f"the R-matrix needs the generic branch, got {params.branch}")
     if oh_singh_mode:
-        # flags of another style beside --oh-singh are refused, not ignored
-        _detect_style(vals)
-        from .constraints import param_map_oh_singh
-
-        o = _resolve_ohsingh(vals)
-        params = param_map_oh_singh(o)
-        rep.params = {"oh_singh": o.to_dict(), "mapped": params.to_dict(),
-                      "max_sector": m_max}
+        rep = CheckReport(params={"oh_singh": o.to_dict(), "mapped": params.to_dict(),
+                                  "max_sector": m_max})
     else:
-        params = _resolve_params(vals)
-        if params.branch != "generic":
-            raise UsageError(
-                f"the R-matrix needs the generic branch, got {params.branch}")
-        rep.params = params.to_dict()
-        rep.params["max_sector"] = m_max
+        rep = CheckReport(params={**params.to_dict(), "max_sector": m_max})
     import numpy as np
 
     from .fock import (build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
@@ -311,8 +283,6 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
         # before r is embedded
         del qt
         rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
-        if requested > cap:
-            rep.params["max_sector_capped_at"] = cap
         if dump_path:
             payload = r.to_payload(rep.params)
             try:
@@ -326,7 +296,7 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
 def _cmd_tabulate(vals, out):
     # where no exponent reaches the cap, nothing else bounds the row count
     n_max = _int_flag(vals, "n_max", 10, top=10_000)
-    params = _resolve_params(vals)
+    _, params = _resolve(vals)
     from .hopf import (coproduct_weights, g_function, structure_function,
                        structure_function_values)
 
@@ -361,29 +331,24 @@ def _cmd_tabulate(vals, out):
 
 
 def _cmd_convert(vals):
-    style = _detect_style(vals)
+    o, params = _resolve(vals)
     from .constraints import param_map_inverse, param_map_oh_singh
 
-    rep = CheckReport()
-    if style == "ohsingh":
-        o = _resolve_ohsingh(vals)
-        params = param_map_oh_singh(o)
-        rep.params = {"from": o.to_dict(), "to": params.to_dict()}
+    if o is not None:
+        rep = CheckReport(params={"from": o.to_dict(), "to": params.to_dict()})
         back = param_map_inverse(params)
         r = max(abs(back.eps - o.eps), abs(back.alpha - o.alpha),
                 abs(back.beta - o.beta), abs(back.k - o.k))
-        rep.add("round-trip", r <= 1e-9, r)
     else:
-        params = _resolve_oscillator(vals)
         try:
             o = param_map_inverse(params)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        rep.params = {"from": params.to_dict(), "to": o.to_dict()}
+        rep = CheckReport(params={"from": params.to_dict(), "to": o.to_dict()})
         again = param_map_oh_singh(o)
         r = max(abs(again.kappa - params.kappa), abs(again.gamma - params.gamma),
                 abs(again.g0 - params.g0))
-        rep.add("round-trip", r <= 1e-9, r)
+    rep.add("round-trip", r <= 1e-9, r)
     return rep
 
 
@@ -452,7 +417,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        vals = _Values(ns, _load_config(ns.config))
+        # the flags given over the keys of the optional JSON config
+        vals = {k: v for k, v in (*_load_config(ns.config).items(), *vars(ns).items())
+                if v is not None}
         if ns.command == "classify":
             rep = _cmd_classify(vals)
         elif ns.command == "verify-hopf":

@@ -337,6 +337,10 @@ def param_map_oh_singh(o):
     with kappa1 = -kappa2 = xi/2.
     """
     xi = o.alpha * o.eps
+    if xi == 0:
+        # alpha and eps are nonzero, so their product underflowed, and
+        # gamma2 would divide by it
+        raise OverflowError(f"xi = alpha*eps = {o.alpha!r}*{o.eps!r} underflows to 0")
     g1 = (2 * o.beta + 1) / (2 * o.alpha)
     g2 = (2 * o.k + 1) * math.pi / (2 * xi)
     g0 = math.cosh(o.eps * (2 * o.beta + 1) / 2) / math.cosh(o.eps / 2)

@@ -61,7 +61,6 @@ from .hopf import HopfOscillator, structure_function_values
 from .report import CheckReport, jsonable
 
 __all__ = [
-    "NonUnitarizableWindowError",
     "FockWindow",
     "interior_residual",
     "sector_states",
@@ -76,15 +75,20 @@ __all__ = [
 ]
 
 
-class NonUnitarizableWindowError(ValueError):
-    """Adjointness was requested on a window where F is not real positive."""
-
-
 def _structure_values(params, n_max):
-    """F(0..n_max) and its principal square roots, plus a Hermitian flag.
+    """F(0..n_max), its square roots and a Hermitian flag: whether F is real
+    (to 1e-12 of its size) on 0..n_max and positive on 1..n_max.  Where it
+    is, the real square root is taken, and elsewhere the principal one.
 
-    The same arrays back every representation so the square-root branch is
-    consistent across the symbolic/numeric bridge.
+    Each caller evaluates F over its own range, and the flag is judged over
+    that range, so the calls of one run can take different branches.  A
+    ``verify-rmatrix`` run makes five calls: to level M + 1 for R and the
+    represented coproduct(a) and coproduct(N), to M + 2 for coproduct(adag)
+    and to 2M + 1 for the coproduct splits.  On kappa1 = -kappa2 = 0.25,
+    gamma = -3.5 + 2 pi i at M = 4, R and the represented coproducts take
+    the real root and the splits the complex one.  Evaluating F once per
+    run, as far as the blocks read it, would give one branch (ROADMAP items
+    1 and 11).
     """
     f_vals = np.array(structure_function_values(params, n_max), dtype=complex)
     hermitian = bool(np.all(np.abs(f_vals.imag) <= 1e-12 * np.maximum(1.0, np.abs(f_vals)))
@@ -117,25 +121,17 @@ def _ladder_amps(sqrt_f, levels, max_r):
 class FockWindow:
     """Truncated Fock-type module (the Casimir-zero representation).
 
-    ``hermitian=None`` auto-detects whether F(1..dim) is real positive;
-    ``hermitian=True`` demands it and raises NonUnitarizableWindowError
-    otherwise; ``hermitian=False`` declares the non-unitarizable mode, where
+    ``hermitian`` says whether F(1..dim) is real positive; where it is not,
     the principal complex square root is used and adjointness checks are
     meaningless.
     """
 
-    def __init__(self, params, dim, hermitian=None):
+    def __init__(self, params, dim):
         if dim < 2:
             raise ValueError("window needs at least two levels")
         self.params = params
         self.dim = int(dim)
-        f_vals, sqrt_f, auto = _structure_values(params, self.dim)
-        if hermitian is True and not auto:
-            raise NonUnitarizableWindowError(
-                "F is not real positive on the window; adjointness unavailable")
-        self.hermitian = auto if hermitian is None else bool(hermitian)
-        self.f_values = f_vals
-        self.sqrt_f = sqrt_f
+        self.f_values, self.sqrt_f, self.hermitian = _structure_values(params, self.dim)
 
     # ------------------------------------------------------------- matrices
     def matrices(self):
@@ -760,29 +756,45 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     _, sqrt_f, _ = _structure_values(p, 2 * m_max + 1)
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, m_max)
     # the raw vectors of the split plans up to sector m_max, each sector
-    # reading a prefix
+    # reading a prefix.  A numpy flag that the caller's errstate raises here
+    # or in the blocks below is raised again naming the operator and the
+    # sector, as a block of R that is not finite is
     downs, ups, up = [], [], []
-    for s in range(m_max + 1):
-        downs.append(np.eye(s + 1, dtype=complex))
-        for n in range(1, s + 1):
-            downs.append(d_a.blocks[s - n + 1] @ downs[-1])
-    for k in range(m_max + 1):
-        # up[s] = coproduct(adag)^(k - s) on sector s
-        up = [d_adag.blocks[k - 1] @ piece for piece in up] + [np.eye(k + 1, dtype=complex)]
-        ups += up
+    try:
+        for s in range(m_max + 1):
+            downs.append(np.eye(s + 1, dtype=complex))
+            for n in range(1, s + 1):
+                downs.append(d_a.blocks[s - n + 1] @ downs[-1])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"the sector {s} block of coproduct(a)^{n}: {exc}") from exc
+    try:
+        for k in range(m_max + 1):
+            # up[s] = coproduct(adag)^(k - s) on sector s
+            for s in range(k):
+                up[s] = d_adag.blocks[k - 1] @ up[s]
+            up.append(np.eye(k + 1, dtype=complex))
+            ups += up
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"the sector {s} block of coproduct(adag)^{k - s}: {exc}") from exc
     downs = np.concatenate(downs, axis=None)
     ups = np.concatenate(ups, axis=None)
     series, kappa, kappa1, gamma = amp.series, p.kappa, p.kappa1, p.gamma
     for m in range(m_max + 1):
         *_, left_plan, right_plan = _sector_plans(m)
-        left = _split_block(left_plan, m, downs, [
-            series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma)) * raise_amp[t3][n]
-            for t3 in range(m + 1) for n in range(m - t3 + 1)],
-            [cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)])
-        right = _split_block(right_plan, m, ups, [
-            series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma)) * lower_amp[n1][n]
-            for n1 in range(m + 1) for n in range(n1 + 1)],
-            [cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)])
+        name = "(coproduct (x) id) R"
+        try:
+            left = _split_block(left_plan, m, downs, [
+                series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma))
+                * raise_amp[t3][n] for t3 in range(m + 1) for n in range(m - t3 + 1)],
+                [cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)])
+            name = "(id (x) coproduct) R"
+            right = _split_block(right_plan, m, ups, [
+                series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma))
+                * lower_amp[n1][n] for n1 in range(m + 1) for n in range(n1 + 1)],
+                [cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"the sector {m} block of {name}: {exc}") from exc
         yield left, right
 
 

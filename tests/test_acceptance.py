@@ -199,7 +199,8 @@ def test_criterion_5_real_form_equivalence():
 # ---------------------------------------------------------------- criterion 6
 def test_criterion_6_fock_window_identities():
     p = proposition1_params(0.6, 0.8, 0, 1.0)
-    w = FockWindow(p, 12, hermitian=True)
+    w = FockWindow(p, 12)
+    assert w.hermitian
     a, ad, n = w.matrices()
     alg = HopfOscillator(p)
     g = g_function(p)

@@ -174,10 +174,9 @@ def test_verify_rmatrix_builds_each_sector_plan_once(capsys, argv):
 
 @pytest.mark.parametrize("m", [6, 12])
 @pytest.mark.parametrize("form", ["general", "oh-singh"])
-def test_shared_rmatrix_gives_the_residuals_of_separate_checks(capsys, monkeypatch, form, m):
+def test_shared_rmatrix_gives_the_residuals_of_separate_checks(capsys, form, m):
     # qt/ judges the general-form R in both forms; ybe/ judges the q-oscillator
     # R under --oh-singh
-    monkeypatch.setenv("QHOPF_MAX_SECTOR", "12")
     if form == "general":
         argv, params = GENERAL_ARGV, build_params(0.5, 0.1, 0.7, 1.0)
         r = build_rmatrix(params, m)
@@ -418,25 +417,6 @@ def test_config_complex_values_must_be_numbers(capsys, tmp_path, value):
     assert err == f"error: cannot parse complex value {value!r}\n"
 
 
-def test_default_sector_cap_is_eight(monkeypatch):
-    from qhopf.cli import _sector_limit
-    monkeypatch.delenv("QHOPF_MAX_SECTOR", raising=False)
-    assert _sector_limit(12) == (8, 8)
-    assert _sector_limit(3) == (3, 8)
-
-
-def test_env_caps_max_sector(capsys, monkeypatch):
-    monkeypatch.setenv("QHOPF_MAX_SECTOR", "2")
-    code, out, _ = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
-                       "0.1", "--gamma1", "0.7", "--max-sector", "6",
-                       "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["params"]["max_sector"] == 2
-    assert report["params"]["max_sector_capped_at"] == 2
-    assert not any("M=3" in c["name"] for c in report["checks"])
-
-
 def test_reports_deterministic(capsys):
     args = ("verify-hopf", "--kappa1", "0.5", "--kappa2", "0.1", "--gamma1",
             "0.7", "--format", "json")
@@ -464,7 +444,6 @@ def test_numpy_loads_only_for_verify_rmatrix():
     # every subcommand but verify-rmatrix, and a verify-rmatrix run refused
     # during validation, runs without numpy and the R-matrix layer
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("QHOPF_MAX_SECTOR", None)
     code = """if True:
         import contextlib, io, sys
         import qhopf
@@ -501,6 +480,11 @@ def test_numpy_loads_only_for_verify_rmatrix():
     ]
 
 
+# |xi| = |alpha*eps| is below the branch tolerance
+_OS_OFF_GENERIC = ("--eps=0.447059", "--alpha=-1.39488e-212", "--beta=2.02863", "--k=-91",
+                   "--oh-singh", "--max-sector=0")
+
+
 _LAYER_EXPORTS = {
     "qhopf.hopf": "CoproductWeights HopfOscillator TensorElement antipode_weights build_params "
                   "coproduct_weights g_function proposition1_params structure_function "
@@ -510,10 +494,9 @@ _LAYER_EXPORTS = {
                          "pointwise_reality q_bracket reality_defect verify_ci_conditions "
                          "verify_g_recursion",
     "qhopf.report": "CheckReport",
-    "qhopf.fock": "FockWindow NonUnitarizableWindowError SectorOperator build_rmatrix "
-                  "build_rmatrix_oh_singh check_quasitriangularity check_yang_baxter "
-                  "compare_sector_operators interior_residual represent_tensor sector_dim "
-                  "sector_states",
+    "qhopf.fock": "FockWindow SectorOperator build_rmatrix build_rmatrix_oh_singh "
+                  "check_quasitriangularity check_yang_baxter compare_sector_operators "
+                  "interior_residual represent_tensor sector_dim sector_states",
 }
 
 
@@ -527,7 +510,6 @@ def test_each_subcommand_loads_only_its_layers():
     # resolves from qhopf to the layer that defines it, and dir(qhopf) lists
     # it.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("QHOPF_MAX_SECTOR", None)
     code = """if True:
         import contextlib, io, json, sys
         import qhopf.cli
@@ -552,11 +534,14 @@ def test_each_subcommand_loads_only_its_layers():
     runs = [
         ((), ""),
         (("verify-rmatrix", *osc, "--max-sector", "-1"), "2 True"),
+        (("verify-rmatrix", *osc, "--max-sector", "33"), "2 True"),
         # refused for their parameters: mixed styles, and a pack off the
         # generic branch, whose resolution loads the Hopf layer only
         (("verify-rmatrix", "--kappa1", "0.3", "--eps", "0.5", "--alpha", "1"), "2 True"),
         (("verify-rmatrix", "--kappa1", "0.3", "--kappa2", "0.3", "--gamma1", "1"),
          f"2 True {layers}"),
+        # and a q-oscillator pack that maps off the generic branch
+        (("verify-rmatrix", *_OS_OFF_GENERIC), f"2 True {layers} qhopf.constraints"),
         # and mixed styles beside --oh-singh
         (("verify-rmatrix", "--oh-singh", "--kappa1", "0.3", "--eps", "0.5", "--alpha", "1.2",
           "--max-sector", "1"), "2 True"),
@@ -583,6 +568,13 @@ def test_each_subcommand_loads_only_its_layers():
             assert lines[2:] == ["True"]
 
 
+@pytest.mark.parametrize("command", ["verify-hopf", "verify-rmatrix", "tabulate",
+                                     "convert-params"])
+def test_only_classify_takes_the_hermiticity_form(capsys, command):
+    assert run(capsys, command, "--xi", "0", "--eta", "0.3", "--gamma1", "0.5") == (
+        2, "", "error: this subcommand needs oscillator or q-oscillator parameters\n")
+
+
 @pytest.mark.parametrize("mixed", [("--kappa1", "0.3"), ("--xi", "0.3")])
 def test_oh_singh_refuses_mixed_styles_as_without_it(capsys, mixed):
     # --oh-singh does not ignore oscillator or Hermiticity flags: the run is
@@ -591,6 +583,14 @@ def test_oh_singh_refuses_mixed_styles_as_without_it(capsys, mixed):
     refused = (2, "", "error: oscillator-style and q-oscillator-style parameters mixed\n")
     assert run(capsys, *argv) == refused
     assert run(capsys, *argv, "--oh-singh") == refused
+
+
+@pytest.mark.parametrize("argv", [("--kappa1", "0.3", "--kappa2", "0.3", "--gamma1", "1"),
+                                  _OS_OFF_GENERIC])
+def test_rmatrix_refuses_a_pack_off_the_generic_branch_by_name(capsys, argv):
+    # in both forms, before any R is built
+    assert run(capsys, "verify-rmatrix", *argv) == (
+        2, "", "error: the R-matrix needs the generic branch, got degenerate_kappa\n")
 
 
 def test_max_order_zero_is_honoured(capsys):
@@ -639,26 +639,19 @@ def test_negative_integer_flags_exit_two(capsys, argv):
 @pytest.mark.parametrize("argv, top", [
     (("tabulate", "--n-max"), 10_000),
     (("verify-hopf", "--max-order"), 12),
+    (("verify-rmatrix", "--max-sector"), 32),
 ])
 def test_integer_flags_above_their_bound_exit_two(capsys, argv, top):
     # no exponent of this degenerate pack reaches the cap, so only the bound
-    # keeps a large --n-max from running for hours or out of memory
-    pack = ("--kappa1", "0", "--kappa2", "0", "--gamma1", "0.8")
+    # keeps a large --n-max from running for hours or out of memory; the
+    # R-matrix needs a pack on the generic branch
+    pack = (GENERAL_ARGV if argv[0] == "verify-rmatrix"
+            else ("--kappa1", "0", "--kappa2", "0", "--gamma1", "0.8"))
     code, out, err = run(capsys, *argv, str(top + 1), *pack)
     assert (code, out) == (2, "")
     assert err == f"error: {argv[1]} must lie in 0..{top}\n"
     code, out, _ = run(capsys, *argv, str(top), *pack)
     assert code == 0 and "overall: pass" in out
-
-
-def test_negative_env_sector_cap_exits_two(capsys, monkeypatch):
-    for value in ("-1", "abc"):
-        monkeypatch.setenv("QHOPF_MAX_SECTOR", value)
-        code, out, err = run(capsys, "verify-rmatrix", "--kappa1", "0.5", "--kappa2",
-                             "0.1", "--gamma1", "0.7")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: QHOPF_MAX_SECTOR must be a non-negative integer, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -706,11 +699,19 @@ _B0_OVERFLOW = ("classify", "--xi", "0", "--eta", "1e308", "--gamma1", "1e308",
 _R_BLOCK_OVERFLOW = ("verify-rmatrix", "--kappa1=-4.47292", "--kappa2=-0.0136611+0.977599i",
                      "--g0=1.69292e+201-2.72052e+189i", "--gamma1=-0.0169257",
                      "--max-sector=10")
-# a q-oscillator prefactor square that float ** cannot hold
-_OS_PI_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=1e-300", "--alpha=-4.2595",
-                          "--beta=4.10444e-129", "--k=-31", "--oh-singh", "--max-sector=2")
-_OS_BETA_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=2e-154", "--alpha=1", "--beta=1e156",
-                            "--k=0", "--oh-singh", "--max-sector=2")
+# a q-oscillator prefactor square that float ** cannot hold, on packs that
+# map to the generic branch
+_OS_PI_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=1e-160", "--alpha=1e150", "--beta=0.3",
+                          "--k=0", "--oh-singh", "--max-sector=2")
+_OS_BETA_SQUARE_OVERFLOW = ("verify-rmatrix", "--eps=1e-154", "--alpha=1e143",
+                            "--beta=1e156", "--k=0", "--oh-singh", "--max-sector=2")
+# alpha*eps underflows to 0, which gamma2 would divide by
+_OS_XI_UNDERFLOW = ("verify-rmatrix", "--eps=1e-300", "--alpha=1e-300", "--beta=0.5",
+                    "--k=-100", "--oh-singh", "--max-sector=1")
+# a power of the represented coproduct(adag) overflows in a split
+_SPLIT_POWER_OVERFLOW = ("verify-rmatrix", "--kappa1=-2.32535e-99",
+                         "--kappa2=1.69722+2.70554i", "--gamma1=0.671604",
+                         "--g0=1.84942e+27-4.89756e-174i", "--k=64", "--max-sector=2")
 # an R prefactor exponent that is not finite, which cmath.exp refuses
 _R_PREFACTOR_EXPONENT = ("verify-rmatrix", "--kappa1=-5.197e-302", "--kappa2=0-0.961336i",
                          "--g0=3.01422", "--gamma1=4.92384e+296", "--gamma2=-2.82046",
@@ -730,6 +731,8 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
                        _R_BLOCK_OVERFLOW: "the sector 2 block of R is not finite)",
                        _OS_PI_SQUARE_OVERFLOW: "((2k+1)pi/(2 eps))^2 = (",
                        _OS_BETA_SQUARE_OVERFLOW: "(beta+1/2)^2 = (1e+156)**2 ",
+                       _OS_XI_UNDERFLOW: "xi = alpha*eps = 1e-300*1e-300 underflows to 0)",
+                       _SPLIT_POWER_OVERFLOW: "the sector 0 block of coproduct(adag)^2: ",
                        _R_PREFACTOR_EXPONENT: "-kappa*(0+gamma)*(0+gamma) = (",
                        _LAMBDA_POWER_ZERO: "lambda^(-2n) = (",
                        _LAMBDA_POWER_RANGE: "lambda^(-2n) = ("}
@@ -741,10 +744,9 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
      {}),
     (("verify-hopf", "--eps=2e-12", "--alpha=7.5", "--beta=0", "--k=1", "--max-order=0"),
      {}),
-    (("verify-rmatrix", "--eps=1e-300", "--alpha=1e-300", "--beta=0.5", "--k=-100",
-      "--oh-singh", "--max-sector=1"), {}),
+    (_OS_XI_UNDERFLOW, {}),
     (("verify-rmatrix", "--kappa1=-0.7", "--kappa2=2e-12", "--gamma1=710", "--g0=1e-9",
-      "--k=12", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+      "--k=12", "--max-sector=4"), {}),
     # a pack whose gamma and G(0) are not finite, or whose kappa1 is not, or
     # whose lambda^2 overflows (its JSON report would hold Infinity)
     (("tabulate", "--eps=2e-12", "--alpha=8", "--beta=1e308", "--k=-1", "--n-max=30"), {}),
@@ -754,11 +756,11 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
     # values past the exponent cap, residuals that are not finite, and a
     # pack whose algebra set-up and R build overflow in different places
     (("verify-rmatrix", "--kappa1=8+1i", "--kappa2=0", "--g0=-0.7", "--gamma1=8",
-      "--gamma2=-8", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+      "--gamma2=-8", "--max-sector=4"), {}),
     (("verify-rmatrix", "--kappa1=0", "--kappa2=0.5", "--g0=0.5+0.2i", "--gamma1=-8",
-      "--gamma2=-1e308", "--max-sector=2"), {"QHOPF_MAX_SECTOR": "4"}),
+      "--gamma2=-1e308", "--max-sector=2"), {}),
     (("verify-rmatrix", "--kappa1=710", "--kappa2=-0.7", "--g0=710i", "--gamma1=0",
-      "--k=-1", "--max-sector=4"), {"QHOPF_MAX_SECTOR": "4"}),
+      "--k=-1", "--max-sector=4"), {}),
     # G(n) and F(n) overflow in plain complex arithmetic, which does not raise
     (("tabulate", "--kappa1=1e-9", "--kappa2=-0.7", "--g0=1e308", "--gamma1=-1e-300",
       "--k=-100", "--n-max=28"), {}),
@@ -775,6 +777,8 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
     (_R_PREFACTOR_EXPONENT, {}),
     (_LAMBDA_POWER_ZERO, {}),
     (_LAMBDA_POWER_RANGE, {}),
+    # and an overflow in a coproduct split by operator and sector
+    (_SPLIT_POWER_OVERFLOW, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a

@@ -6,8 +6,6 @@ import contextlib
 import io
 import json
 import math
-import os
-from unittest import mock
 
 import pytest
 
@@ -66,8 +64,7 @@ def _refuse_constant(token):
 @given(argv_lists())
 def test_cli_exits_0_1_or_2_and_raises_nothing(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"QHOPF_MAX_SECTOR": "4"}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:

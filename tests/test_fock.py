@@ -5,10 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from qhopf import (FockWindow, HopfOscillator, NonUnitarizableWindowError,
-                   build_params, g_function, interior_residual,
-                   proposition1_params, represent_tensor, sector_dim, sector_states,
-                   structure_function_values)
+from qhopf import (FockWindow, HopfOscillator, build_params, g_function,
+                   interior_residual, proposition1_params, represent_tensor, sector_dim,
+                   sector_states, structure_function_values)
 from qhopf.expalg import EvaluationOverflow, ExpPoly
 from qhopf.hopf import TensorElement
 import loop_reference
@@ -68,7 +67,8 @@ def test_anticommutator_identity(generic_params):
 
 
 def test_adjointness_in_hermitian_family(prop1_params):
-    w = FockWindow(prop1_params, 12, hermitian=True)
+    w = FockWindow(prop1_params, 12)
+    assert w.hermitian
     a, ad, _ = w.matrices()
     assert np.max(np.abs(ad - a.conj().T)) < 1e-12
     alg = HopfOscillator(prop1_params)
@@ -79,9 +79,7 @@ def test_adjointness_in_hermitian_family(prop1_params):
 
 def test_non_unitarizable_window_rejected():
     p = build_params(0.3 + 0.3j, 0.0, 0.7, 1.0)
-    with pytest.raises(NonUnitarizableWindowError):
-        FockWindow(p, 8, hermitian=True)
-    w = FockWindow(p, 8)  # auto-detected non-Hermitian mode
+    w = FockWindow(p, 8)
     assert not w.hermitian
     a, ad, _ = w.matrices()
     assert np.max(np.abs(ad @ a - np.diag(w.f_values[:8]))) < 1e-10
