@@ -35,12 +35,16 @@ while building an expression are pruned; the threshold only has to absorb
 floating-point roundoff since every identity in scope cancels exactly.
 
 ``substitute`` takes a direct path where a map sends every variable to a
-single target with unit coefficient, V_j -> W_t + const: a term is re-slotted
-when const = 0 (``embed``, leg lifts and swaps) and multiplied by
-exp(mu * const) when its power is 0 (``shift`` of exponentials).  Only terms
-with a power under a nonzero constant, and maps with other coefficients or
-several targets, go through the multinomial expansion; either way the terms
-keep their order and come out with the coefficients of the expansion.
+single target with unit coefficient, V_j -> W_t + const (``shift``,
+``embed``, leg lifts and swaps, the leg shifts of the multiplication map): a
+term is re-slotted when const = 0 and multiplied by exp(mu * const) when its
+power is 0, and a term with a power k under a nonzero constant expands by
+the binomial theorem over j0 = 0..k, with the float operations of the
+multinomial expansion in the same order.  Only maps with other coefficients
+or several targets (the coproduct's V -> W_1 + W_2 + gamma, the antipode's
+V -> -W - 2 gamma) go through the multinomial expansion; either way the
+terms keep their order and come out with the coefficients of the expansion,
+bit for bit.
 """
 
 import cmath
@@ -354,22 +358,25 @@ class ExpPoly:
         ``mapping[j] = (coeffs, const)`` sends V_j to
         ``sum_t coeffs[t] * W_t + const`` in the new set of ``arity`` target
         variables.  Exponentials split multiplicatively, polynomial factors
-        expand by the multinomial theorem.
+        expand by the multinomial theorem, which is the binomial theorem
+        where every coefficient is 1.
         """
         if len(mapping) != self.arity:
             raise ValueError("mapping length must equal arity")
         # V_j -> W_t + const with a unit coefficient for every j: a term whose
-        # variables each have power 0 or constant 0 needs no expansion
+        # variables each have power 0 or constant 0 needs no expansion, and
+        # any other term expands by the binomial theorem
         unit = None
         if all(list(coeffs.values()) == [1] for coeffs, _ in mapping):
-            unit = [(*coeffs, complex(const)) for coeffs, const in mapping]
+            unit = [(t, complex(one), complex(const))
+                    for coeffs, const in mapping for t, one in coeffs.items()]
         raw = {}
         for key, coeff in self.terms.items():
             if unit is not None and all(not k or not const
-                                        for (_, k), (_, const) in zip(key, unit)):
+                                        for (_, k), (_, _, const) in zip(key, unit)):
                 slots = [[ZERO, 0] for _ in range(arity)]
                 weight = coeff
-                for (mu, k), (t, const) in zip(key, unit):
+                for (mu, k), (t, _, const) in zip(key, unit):
                     if const:
                         w = cmath.exp(mu * const)
                         if w == 0:
@@ -383,23 +390,39 @@ class ExpPoly:
                     raw[nk] = raw.get(nk, 0j) + weight
                 continue
             var_options = []
-            for (mu, k), (coeffs, const) in zip(key, mapping):
-                targets = sorted(coeffs)
-                const = complex(const)
-                base = cmath.exp(mu * const)
-                opts = []
-                for comp in _compositions(k, len(targets) + 1):
-                    j0, rest = comp[0], comp[1:]
-                    w = base * _multinomial(k, comp) * const**j0
-                    for t, jt in zip(targets, rest):
-                        if jt:
-                            w *= complex(coeffs[t]) ** jt
-                    if w == 0:
-                        continue
-                    contrib = tuple((t, _times(mu, coeffs[t]), jt)
-                                    for t, jt in zip(targets, rest))
-                    opts.append((contrib, w))
-                var_options.append(opts)
+            if unit is not None:
+                # the multinomial expansion below with one target, over the
+                # compositions (j0, k - j0) in its order and with its float
+                # operations in the same order
+                for (mu, k), (t, one, const) in zip(key, unit):
+                    base = cmath.exp(mu * const)
+                    opts = []
+                    for j0 in range(k + 1):
+                        w = base * math.comb(k, j0) * const**j0
+                        if j0 < k:
+                            w *= one ** (k - j0)
+                        if w == 0:
+                            continue
+                        opts.append((((t, mu, k - j0),), w))
+                    var_options.append(opts)
+            else:
+                for (mu, k), (coeffs, const) in zip(key, mapping):
+                    targets = sorted(coeffs)
+                    const = complex(const)
+                    base = cmath.exp(mu * const)
+                    opts = []
+                    for comp in _compositions(k, len(targets) + 1):
+                        j0, rest = comp[0], comp[1:]
+                        w = base * _multinomial(k, comp) * const**j0
+                        for t, jt in zip(targets, rest):
+                            if jt:
+                                w *= complex(coeffs[t]) ** jt
+                        if w == 0:
+                            continue
+                        contrib = tuple((t, _times(mu, coeffs[t]), jt)
+                                        for t, jt in zip(targets, rest))
+                        opts.append((contrib, w))
+                    var_options.append(opts)
             for choice in _cartesian(*var_options):
                 slots = [[ZERO, 0] for _ in range(arity)]
                 weight = coeff

@@ -41,15 +41,18 @@ powers beside it only shifts their arguments.
 A ``HopfOscillator`` caches, for its own lifetime, the ladder sums G(N) + ..
 + G(N+s-1), the structure function, the powers of coproduct(adag),
 coproduct(a), S(adag) and S(a), the product of each pair of unit leg
-monomials adag^r e^{mu N} N^k a^s (which also gives the Q_j) and the image
+monomials adag^r e^{mu N} N^k a^s (which also gives the Q_j), the image
 of each one under the coproduct or the antipode, kept once whatever leg it
-is spliced into; nothing is cached at module level.  The two leg caches are
-keyed by ladder shape and power alone and hold the mu = 0 entries: e^{mu N}
-only shifts when it moves past a ladder power, so the entry at any other
-exponent is the kept one with each part multiplied by one one-term
-exponential (``_leg_image``, ``_unit_product``).  A derived part has the
-term keys of the one formed directly and its coefficients to roundoff; its
-scale is the kept part's times the magnitude of the factor.
+is spliced into, and the sum of each pair of exponents that its products
+add, keyed by their generator vectors; nothing is cached at module level.
+The leg entries are formed directly only at mu = 0, keyed by ladder shape
+and power alone: e^{mu N} only shifts when it moves past a ladder power, so
+the entry at any other exponent is the kept one with each part multiplied
+by one one-term exponential.  It is derived once and kept too, keyed by the
+full pieces (mu, k) (``_leg_image``, ``_unit_product``), and the derived
+entries share one copy of each of their term keys.  A derived part
+has the term keys of the one formed directly and its coefficients to
+roundoff; its scale is the kept part's times the magnitude of the factor.
 In ``tensor_product`` each combination of leg products becomes one
 coefficient function in a single ``ExpPoly`` construction, multiplied up
 leg by leg.
@@ -265,31 +268,6 @@ def _acc(store, key, poly):
     store[key] = store[key] + poly if key in store else poly
 
 
-def _pair_product(p, q):
-    """p * q with the scale of the separable products of ``tensor_product``:
-    the largest |c1 c2| over the term pairs, where ``p * q`` takes p.scale *
-    q.scale."""
-    raw, scale = {}, 0.0
-    for k1, c1 in p.terms.items():
-        for k2, c2 in q.terms.items():
-            c = c1 * c2
-            if abs(c) > scale:
-                scale = abs(c)
-            nk = tuple([(_add_exponents(m1, m2), n1 + n2)
-                        for (m1, n1), (m2, n2) in zip(k1, k2)])
-            raw[nk] = raw[nk] + c if nk in raw else c
-    return ExpPoly(p.arity, raw, scale=scale, canonical=True)
-
-
-def _times_exp(p, mu, w):
-    """p times the one-term function w exp(mu (V_1 + .. + V_n)) over every
-    variable of p, in one construction: the term keys, coefficients and
-    scale of that product."""
-    return ExpPoly(p.arity, {tuple([(_add_exponents(m, mu), k) for m, k in pk]): c * w
-                             for pk, c in p.terms.items()},
-                   scale=p.scale * abs(w), canonical=True)
-
-
 def _spliced(pk, leg, part, c):
     """Terms of c * ``part`` put in place of factor ``leg`` of the leg
     factors ``pk``: each term key of ``part``, the factors of one leg or
@@ -437,13 +415,20 @@ class HopfOscillator:
         self.antipode_pair = antipode_weights(params)
         self.counit_point = (complex(counit_point) if counit_point is not None
                              else -params.gamma)
-        # The caches hold bare term dicts and ExpPolys: a stored element points
-        # back at the algebra, and that reference cycle would leave each
-        # instance for the cyclic garbage collector to free.
+        # The caches hold bare term dicts, ExpPolys, term keys and exponents:
+        # a stored element points back at the algebra, and that reference
+        # cycle would leave each instance for the cyclic garbage collector to
+        # free.  The leg caches hold the entries at exponent 0 and ``_derived``
+        # those at the other exponents met, each derived once from its
+        # exponent-0 entry; ``_derived_keys`` keeps one copy of each term key
+        # of a derived entry, which the entries share.
         self._ladder_sums = {}
         self._powers = {}
         self._leg_products = {}
         self._leg_images = {}
+        self._derived = {}
+        self._derived_keys = {}
+        self._exp_sums = {}
 
     # ------------------------------------------------------------------ build
     def scalar(self, value):
@@ -478,6 +463,19 @@ class HopfOscillator:
         return self.from_function(self.structure_poly) - self.monomial(1, 1)
 
     # ---------------------------------------------------------------- product
+    def _exp_sum(self, a, b):
+        """a + b on the generator vectors, formed once per instance for each
+        pair of vectors."""
+        if not b.vec:
+            return a
+        if not a.vec:
+            return b
+        key = (a.vec, b.vec)
+        total = self._exp_sums.get(key)
+        if total is None:
+            total = self._exp_sums[key] = _add_exponents(a, b)
+        return total
+
     def _ladder_sum(self, s):
         # sum_{j=0}^{s-1} G(N+j): picked up when a^s crosses adag
         if s not in self._ladder_sums:
@@ -534,35 +532,53 @@ class HopfOscillator:
         """One separable leg factor as a standalone algebra element."""
         return AlgebraElement(self, {rs: ExpPoly(1, {(piece,): 1.0 + 0j}, canonical=True)})
 
+    def _times_exp(self, p, mu, w):
+        """p times the one-term function w exp(mu (V_1 + .. + V_n)) over every
+        variable of p, in one construction: the term keys, coefficients and
+        scale of that product.  Each term key is the one kept in
+        ``_derived_keys``, so the derived entries of an instance share their
+        keys."""
+        add, keys = self._exp_sum, self._derived_keys
+        raw = {}
+        for pk, c in p.terms.items():
+            nk = tuple([(add(m, mu), k) for m, k in pk])
+            raw[keys.setdefault(nk, nk)] = c * w
+        return ExpPoly(p.arity, raw, scale=p.scale * abs(w), canonical=True)
+
     def _unit_product(self, rs1, piece1, rs2, piece2):
         """The terms of the product of two unit leg monomials
         adag^r1 e^{mu1 N} N^k1 a^s1 and adag^r2 e^{mu2 N} N^k2 a^s2.
 
         It is sum_j adag^(r1+r2-j) f1(N + r2 - j) Q_j(N) f2(N + s1 - j)
         a^(s1+s2-j), and e^{mu N} only shifts when it moves past a ladder
-        power, so only the product at mu1 = mu2 = 0 is formed, once per
-        instance for each ladder shape and pair of powers.  Other exponents
-        multiply each of its terms by the one-term function
-        e^{mu1 (N + r2 - j) + mu2 (N + s1 - j)}; each derived term has the
-        term keys of the direct product, its coefficients to roundoff, and
-        the scale of the kept term times the magnitude of that factor."""
+        power, so only the product at mu1 = mu2 = 0 is formed directly, once
+        per instance for each ladder shape and pair of powers.  The product
+        at other exponents is derived from it once per instance for each
+        pair of pieces (mu, k): each of its terms times the one-term function
+        e^{mu1 (N + r2 - j) + mu2 (N + s1 - j)}.  A derived term has the term
+        keys of the direct product, its coefficients to roundoff, and the
+        scale of the kept term times the magnitude of that factor."""
         (mu1, k1), (mu2, k2) = piece1, piece2
+        if mu1.vec or mu2.vec:
+            memo_key = (rs1, piece1, rs2, piece2)
+            derived = self._derived.get(memo_key)
+            if derived is None:
+                mu = self._exp_sum(mu1, mu2)
+                (r1, s1), r2 = rs1, rs2[0]
+                derived = []
+                for (r, s), q in self._unit_product(rs1, (ZERO, k1), rs2, (ZERO, k2)):
+                    j = r1 + r2 - r
+                    w = cmath.exp(mu1 * (r2 - j) + mu2 * (s1 - j))
+                    derived.append(((r, s), self._times_exp(q, mu, w)))
+                self._derived[memo_key] = derived
+            return derived
         memo_key = (rs1, k1, rs2, k2)
         terms = self._leg_products.get(memo_key)
         if terms is None:
             prod = self.product(self._leg_monomial(rs1, (ZERO, k1)),
                                 self._leg_monomial(rs2, (ZERO, k2)))
             terms = self._leg_products[memo_key] = list(prod.terms.items())
-        if not (mu1.vec or mu2.vec):
-            return terms
-        mu = _add_exponents(mu1, mu2)
-        (r1, s1), r2 = rs1, rs2[0]
-        derived = []
-        for (r, s), q in terms:
-            j = r1 + r2 - r
-            w = cmath.exp(mu1 * (r2 - j) + mu2 * (s1 - j))
-            derived.append(((r, s), _times_exp(q, mu, w)))
-        return derived
+        return terms
 
     def tensor_product(self, t, u):
         """Componentwise product (x1 (x) x2) (y1 (x) y2) = x1 y1 (x) x2 y2,
@@ -595,6 +611,21 @@ class HopfOscillator:
         return TensorElement(self, legs, out)
 
     # -------------------------------------------------------------- coproduct
+    def _pair_product(self, p, q):
+        """p * q with the scale of the separable products of ``tensor_product``:
+        the largest |c1 c2| over the term pairs, where ``p * q`` takes p.scale *
+        q.scale."""
+        add = self._exp_sum
+        raw, scale = {}, 0.0
+        for k1, c1 in p.terms.items():
+            for k2, c2 in q.terms.items():
+                c = c1 * c2
+                if abs(c) > scale:
+                    scale = abs(c)
+                nk = tuple([(add(m1, m2), n1 + n2) for (m1, n1), (m2, n2) in zip(k1, k2)])
+                raw[nk] = raw[nk] + c if nk in raw else c
+        return ExpPoly(p.arity, raw, scale=scale, canonical=True)
+
     def _coproduct_of_function(self, f):
         # f(N) -> f(N1 + N2 + gamma)
         return f.substitute([({0: 1.0, 1: 1.0}, self.params.gamma)], 2)
@@ -651,9 +682,9 @@ class HopfOscillator:
             lowering = self._power("lower", s).terms
             cur = {}
             for ((i, _), (ri, _)), a_i in self._power("raise", r).terms.items():
-                head = _pair_product(a_i, df)
+                head = self._pair_product(a_i, df)
                 for ((_, j), (_, sj)), c_j in lowering.items():
-                    cur[((i, j), (ri, sj))] = _pair_product(head, c_j)
+                    cur[((i, j), (ri, sj))] = self._pair_product(head, c_j)
             total = total + TensorElement(self, 2, cur)
         return total
 
@@ -732,15 +763,33 @@ class HopfOscillator:
         or the antipode (``width`` = 1), with 1-leg keys as 1-tuples.
 
         e^{mu N} only shifts when it moves past a ladder power, so only the
-        image at mu = 0 is formed, once per instance for each ladder shape
-        and power, whatever leg and leg count it is used at.  Other
-        exponents multiply each part by one one-term function:
+        image at mu = 0 is formed directly, once per instance for each ladder
+        shape and power, whatever leg and leg count it is used at.  The image
+        at another exponent is derived from it once per instance for each
+        piece (mu, k), each part times one one-term function:
         e^{mu (N1 + N2 + gamma)} for the coproduct, and
         e^{-mu (N + s + r - j + 2 gamma)} at key (r - j, s - j) for the
         antipode.  Each derived part has the term keys of the direct image,
         its coefficients to roundoff, and the scale of the kept part times
         the magnitude of that factor."""
         mu, k = piece
+        if mu.vec:
+            memo_key = (width, rs, piece)
+            derived = self._derived.get(memo_key)
+            if derived is None:
+                images = self._leg_image(width, rs, (ZERO, k))
+                if width == 2:
+                    w = cmath.exp(mu * self.params.gamma)
+                    derived = [(part, self._times_exp(ipoly, mu, w)) for part, ipoly in images]
+                else:
+                    minus, s, gamma = exponent((mu, -1)), rs[1], self.params.gamma
+                    derived = []
+                    for part, ipoly in images:
+                        ((ri, _),) = part
+                        w = cmath.exp(minus * (s + ri + 2 * gamma))
+                        derived.append((part, self._times_exp(ipoly, minus, w)))
+                self._derived[memo_key] = derived
+            return derived
         memo_key = (width, rs, k)
         images = self._leg_images.get(memo_key)
         if images is None:
@@ -748,19 +797,7 @@ class HopfOscillator:
             image = hopf_map(self._leg_monomial(rs, (ZERO, k)))
             images = self._leg_images[memo_key] = [
                 (ikey if width == 2 else (ikey,), ipoly) for ikey, ipoly in image.terms.items()]
-        if not mu.vec:
-            return images
-        gamma = self.params.gamma
-        if width == 2:
-            w = cmath.exp(mu * gamma)
-            return [(part, _times_exp(ipoly, mu, w)) for part, ipoly in images]
-        minus, s = exponent((mu, -1)), rs[1]
-        derived = []
-        for part, ipoly in images:
-            ((ri, _),) = part
-            w = cmath.exp(minus * (s + ri + 2 * gamma))
-            derived.append((part, _times_exp(ipoly, minus, w)))
-        return derived
+        return images
 
     # ------------------------------------------------------------- structure
     def multiply_legs(self, t):

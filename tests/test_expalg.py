@@ -8,6 +8,7 @@ import pytest
 
 from qhopf.expalg import EXP_ARG_CAP, EvaluationOverflow, ExpPoly, antidifference, exponent
 from qhopf.fock import _coefficients
+from substitute_reference import multinomial_substitute
 
 
 def random_poly(rng, arity=1, n_terms=4, max_power=2):
@@ -177,6 +178,70 @@ def test_substitute_equals_multinomial_expansion(case):
         f = random_poly(rng, arity=arity, n_terms=6, max_power=3)
         assert_same_poly(f.substitute(mapping, target),
                          reference_substitute(f, mapping, target))
+
+
+def poly_bits(poly):
+    """Term keys in order, each exponent with the bits of its value, the
+    bits of each coefficient, signed zeros told apart, scale and floor."""
+    return ([(tuple((mu.vec, mu.real.hex(), mu.imag.hex(), k) for mu, k in key),
+              c.real.hex(), c.imag.hex()) for key, c in poly.terms.items()],
+            poly.scale.hex(), poly.residual_floor.hex())
+
+
+UNIT_COEFFS = [1, 1.0, 1 + 0j, complex(1.0, -0.0)]
+UNIT_CONSTS = [0, 0j, complex(-0.0, -0.0), 2, -1, 0.75, complex(-0.0, 0.6),
+               complex(0.4, -0.0), complex(-1.3, 0.45), complex(0.2, -2.1)]
+GENERATORS = [0.4 + 0j, complex(0.3, -0.7), 1.1j, 0.9 + 0j]
+
+
+def random_coefficient(rng):
+    x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
+    return rng.choice([complex(x, y), complex(-0.0, y), complex(x, -0.0), complex(x, 0.0),
+                       complex(-x, -0.0), complex(x, y) * 1e-14])
+
+
+def random_unit_case(rng):
+    """A polynomial of arity 1-3 with powers 0-4 and a unit map onto 1-3
+    targets, several variables often on one target."""
+    arity, target = rng.randint(1, 3), rng.randint(1, 3)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        key = tuple((exponent(*((g, rng.randint(-2, 2))
+                                for g in rng.sample(GENERATORS, rng.randint(0, 2)))),
+                     rng.randint(0, 4)) for _ in range(arity))
+        terms[key] = random_coefficient(rng)
+    mapping = [({rng.randrange(target): rng.choice(UNIT_COEFFS)}, rng.choice(UNIT_CONSTS))
+               for _ in range(arity)]
+    return ExpPoly(arity, terms), mapping, target
+
+
+def test_binomial_substitution_equals_the_multinomial_expansion():
+    # unit maps expand a power under a nonzero constant by the binomial
+    # theorem: the same term keys in the same order, coefficients, scale and
+    # floor bit for bit, signed zeros included, as the multinomial loop
+    rng = random.Random(2030)
+    expanded = collided = 0
+    for _ in range(600):
+        f, mapping, target = random_unit_case(rng)
+        assert poly_bits(f.substitute(mapping, target)) == \
+            poly_bits(multinomial_substitute(f, mapping, target))
+        expanded += any(k and complex(const) for key in f.terms
+                        for (_, k), (_, const) in zip(key, mapping))
+        collided += len({t for coeffs, _ in mapping for t in coeffs}) < len(mapping)
+    assert expanded > 300 and collided > 200
+    # the term of exponent 0.9 has weight exp(-810) = 0 under the constant
+    # -900, so both drop it and keep only the expansion of the other term
+    f = ExpPoly(2, {((0.9 + 0j, 2), (0j, 1)): 1.5 - 0.0j, ((0j, 1), (0j, 3)): -0.0 + 2j})
+    for mapping in ([({0: 1.0}, -900.0), ({0: 1.0}, 0.5)], [({1: 1}, -900), ({1: 1}, 0j)]):
+        got = f.substitute(mapping, 2)
+        assert poly_bits(got) == poly_bits(multinomial_substitute(f, mapping, 2))
+        assert got.terms and not any(mu.vec for key in got.terms for mu, _ in key)
+    # past the float range the unit factor 1 ** jt still counts: it turns an
+    # infinite weight's zero part into nan, as the multinomial loop does
+    f = ExpPoly(1, {((1.0, 4),): 1 + 0j, ((1.0, 2),): -1 + 0j})
+    got = f.substitute([({0: 1}, 700.0)], 1)
+    assert poly_bits(got) == poly_bits(multinomial_substitute(f, [({0: 1}, 700.0)], 1))
+    assert any(cmath.isnan(c) for c in got.terms.values())
 
 
 # ------------------------------------------------------------- differentiate

@@ -12,7 +12,7 @@ import pytest
 from qhopf import (CoproductWeights, FockWindow, HopfOscillator, TensorElement,
                    build_params, coproduct_weights, g_function, interior_residual,
                    proposition1_params, structure_function, structure_function_values)
-from qhopf.expalg import ZERO, ExpPoly
+from qhopf.expalg import ZERO, Exponent, ExpPoly
 from qhopf.fock import _RMatrixAmplitude
 from qhopf.hopf import AlgebraElement
 from leg_map_reference import (assert_derived_entry, direct_leg_image, direct_unit_product,
@@ -499,24 +499,47 @@ COUNIT_CONTROL_FAILURES = {
 
 def test_caches_do_not_leak_between_instances(prop1_params, generic_params):
     # solved and hooked instances of one pack, run interleaved and twice
-    # each: every instance fails exactly the checks its own hooks break
+    # each: every instance fails exactly the checks its own hooks break, and
+    # its report is that of a fresh instance built alike.  The coproduct
+    # weight hook changes every derived coproduct image and the G hook every
+    # derived product, while the exponents and so the exponent sums stay
+    # those of the solved instance of the pack.
     p, g = prop1_params, generic_params
-    runs = [(HopfOscillator(p), set()),
-            (HopfOscillator(p, counit_point=-p.gamma + 0.1), COUNIT_CONTROL_FAILURES),
-            (HopfOscillator(g), set()),
-            (HopfOscillator(g, g=ExpPoly.constant(1.0)),
-             {"coproduct-commutator[a,adag]", "counit-commutator[a,adag]"})]
-    for alg, failures in runs + runs:
-        assert {c.name for c in alg.check_axioms().failures()} == failures
+    w = coproduct_weights(p)
+    tilted = CoproductWeights(w.raise_right * 1.01, w.raise_left, w.lower_right, w.lower_left)
+    configs = [(p, {}, set()),
+               (p, {"counit_point": -p.gamma + 0.1}, COUNIT_CONTROL_FAILURES),
+               (p, {"weights": tilted}, None),
+               (g, {}, set()),
+               (g, {"g": ExpPoly.constant(1.0)},
+                {"coproduct-commutator[a,adag]", "counit-commutator[a,adag]"})]
+    fresh = [HopfOscillator(q, **hooks).check_axioms() for q, hooks, _ in configs]
+    assert "coassociativity[adag]" in {c.name for c in fresh[2].failures()}
+    runs = [HopfOscillator(q, **hooks) for q, hooks, _ in configs]
+    for _ in range(2):
+        for alg, (_, _, failures), ref in zip(runs, configs, fresh):
+            rep = alg.check_axioms()
+            assert rep.to_json() == ref.to_json()
+            if failures is not None:
+                assert {c.name for c in rep.failures()} == failures
+    assert all(alg._derived and alg._derived_keys and alg._exp_sums for alg in runs)
 
 
 def test_caches_leave_no_reference_cycle(prop1_params):
-    # the caches hold term dicts and ExpPolys, never an element (which points
-    # back at the algebra), so reference counting alone frees the instance
+    # the caches hold term dicts, ExpPolys, term keys and exponents, never an
+    # element (which points back at the algebra), so reference counting
+    # alone frees the instance; the derived leg entries, their shared term
+    # keys and the exponent sums among them
     gc.disable()
     try:
         alg = HopfOscillator(prop1_params)
         alg.check_axioms()
+        assert alg._exp_sums and all(type(mu) is Exponent for mu in alg._exp_sums.values())
+        polys = [poly for entry in alg._derived.values() for _, poly in entry]
+        assert polys and all(type(poly) is ExpPoly for poly in polys)
+        keys = alg._derived_keys
+        assert all(keys[key] is key for poly in polys for key in poly.terms)
+        assert all(type(mu) is Exponent and type(k) is int for key in keys for mu, k in key)
         ref = weakref.ref(alg)
         del alg
         assert ref() is None
@@ -529,14 +552,18 @@ def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     # (whatever leg it is used at) is formed once per instance at exponent 0
     # for each ladder shape and power, each antipode power once per
     # instance, and the second run forms only those that no cache holds.  An
-    # entry at another exponent is its exponent-0 entry times one one-term
-    # function, one ExpPoly per part on every use: 75 products on the first
-    # run, 180 when each exponent formed its own entries.  The coproduct
-    # multiplies coefficient functions key by key and the multiplication map
-    # substitutes each key once per crossing term, so neither goes through
-    # product or tensor_product: 12 tensor products on the first run.  Images
-    # are spliced into place, so the only embeddings are the four weights of
-    # the coproduct generators, made on the first run.
+    # entry at another exponent is derived from its exponent-0 entry, one
+    # ExpPoly per part, once per instance for each piece (mu, k) met, and
+    # each exponent sum is formed once per instance for each pair of
+    # generator vectors: 75 products on the first run, 180 when each
+    # exponent formed its own entries, and 1568 ExpPolys, 1708 when every
+    # use derived its entries afresh.  The second run re-forms no leg entry,
+    # so it builds fewer ExpPolys than the first (961 against 1568).  The
+    # coproduct multiplies coefficient functions key by key and the
+    # multiplication map substitutes each key once per crossing term, so
+    # neither goes through product or tensor_product: 12 tensor products on
+    # the first run.  Images are spliced into place, so the only embeddings
+    # are the four weights of the coproduct generators, made on the first run.
     calls = {"product": 0, "tensor_product": 0, "embed": 0, "substitute": 0, "__init__": 0}
 
     def counted(cls, name):
@@ -555,13 +582,20 @@ def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     alg = HopfOscillator(prop1_params)
     alg.check_axioms()
     assert calls == {"product": 75, "tensor_product": 12, "embed": 4, "substitute": 171,
-                     "__init__": 1708}
+                     "__init__": 1568}
     # the entries formed directly: one per ladder shape and power met (80
-    # images and 89 products when each exponent formed its own)
+    # images and 89 products when each exponent formed its own); the derived
+    # ones: 66 images, keyed (width, rs, piece), and 74 products, keyed
+    # (rs1, piece1, rs2, piece2), whose 296 terms share 102 keys; 69
+    # distinct exponent sums
     assert (len(alg._leg_images), len(alg._leg_products)) == (30, 34)
+    derived_images = sum(len(key) == 3 for key in alg._derived)
+    assert (derived_images, len(alg._derived) - derived_images) == (66, 74)
+    assert (len(alg._derived_keys), len(alg._exp_sums)) == (102, 69)
     alg.check_axioms()
     assert calls == {"product": 75 + 7, "tensor_product": 12 + 7, "embed": 4,
-                     "substitute": 171 + 74, "__init__": 1708 + 1275}
+                     "substitute": 171 + 74, "__init__": 1568 + 961}
+    assert (len(alg._derived), len(alg._derived_keys), len(alg._exp_sums)) == (140, 102, 69)
 
 
 # --------------------------------------------------------------------- counit
