@@ -45,14 +45,13 @@ monomials adag^r e^{mu N} N^k a^s (which also gives the Q_j), the image
 of each one under the coproduct or the antipode, kept once whatever leg it
 is spliced into, and the sum of each pair of exponents that its products
 add, keyed by their generator vectors; nothing is cached at module level.
-The leg entries are formed directly only at mu = 0, keyed by ladder shape
-and power alone: e^{mu N} only shifts when it moves past a ladder power, so
-the entry at any other exponent is the kept one with each part multiplied
-by one one-term exponential.  It is derived once and kept too, keyed by the
-full pieces (mu, k) (``_leg_image``, ``_unit_product``), and the derived
-entries share one copy of each of their term keys.  A derived part
-has the term keys of the one formed directly and its coefficients to
-roundoff; its scale is the kept part's times the magnitude of the factor.
+The two leg caches are keyed by ladder shape and full pieces (mu, k), but
+an entry is formed directly only at mu = 0: e^{mu N} only shifts when it
+moves past a ladder power, so the entry at any other exponent is derived
+from the one at (0, k), each part multiplied by one one-term exponential
+(``_leg_image``, ``_unit_product``), and kept like it.  A derived part has
+the term keys of the one formed directly and its coefficients to roundoff;
+its scale is the kept part's times the magnitude of the factor.
 In ``tensor_product`` each combination of leg products becomes one
 coefficient function in a single ``ExpPoly`` construction, multiplied up
 leg by leg.
@@ -415,19 +414,15 @@ class HopfOscillator:
         self.antipode_pair = antipode_weights(params)
         self.counit_point = (complex(counit_point) if counit_point is not None
                              else -params.gamma)
-        # The caches hold bare term dicts, ExpPolys, term keys and exponents:
-        # a stored element points back at the algebra, and that reference
-        # cycle would leave each instance for the cyclic garbage collector to
-        # free.  The leg caches hold the entries at exponent 0 and ``_derived``
-        # those at the other exponents met, each derived once from its
-        # exponent-0 entry; ``_derived_keys`` keeps one copy of each term key
-        # of a derived entry, which the entries share.
+        # The caches hold bare term dicts, ExpPolys and exponents: a stored
+        # element points back at the algebra, and that reference cycle would
+        # leave each instance for the cyclic garbage collector to free.  The
+        # leg caches hold the entries at every piece (mu, k) met, those at
+        # mu != 0 each derived once from the entry at (0, k).
         self._ladder_sums = {}
         self._powers = {}
         self._leg_products = {}
         self._leg_images = {}
-        self._derived = {}
-        self._derived_keys = {}
         self._exp_sums = {}
 
     # ------------------------------------------------------------------ build
@@ -535,15 +530,11 @@ class HopfOscillator:
     def _times_exp(self, p, mu, w):
         """p times the one-term function w exp(mu (V_1 + .. + V_n)) over every
         variable of p, in one construction: the term keys, coefficients and
-        scale of that product.  Each term key is the one kept in
-        ``_derived_keys``, so the derived entries of an instance share their
-        keys."""
-        add, keys = self._exp_sum, self._derived_keys
-        raw = {}
-        for pk, c in p.terms.items():
-            nk = tuple([(add(m, mu), k) for m, k in pk])
-            raw[keys.setdefault(nk, nk)] = c * w
-        return ExpPoly(p.arity, raw, scale=p.scale * abs(w), canonical=True)
+        scale of that product."""
+        add = self._exp_sum
+        return ExpPoly(p.arity, {tuple([(add(m, mu), k) for m, k in pk]): c * w
+                                 for pk, c in p.terms.items()},
+                       scale=p.scale * abs(w), canonical=True)
 
     def _unit_product(self, rs1, piece1, rs2, piece2):
         """The terms of the product of two unit leg monomials
@@ -558,26 +549,23 @@ class HopfOscillator:
         e^{mu1 (N + r2 - j) + mu2 (N + s1 - j)}.  A derived term has the term
         keys of the direct product, its coefficients to roundoff, and the
         scale of the kept term times the magnitude of that factor."""
-        (mu1, k1), (mu2, k2) = piece1, piece2
-        if mu1.vec or mu2.vec:
-            memo_key = (rs1, piece1, rs2, piece2)
-            derived = self._derived.get(memo_key)
-            if derived is None:
+        memo_key = (rs1, piece1, rs2, piece2)
+        terms = self._leg_products.get(memo_key)
+        if terms is None:
+            (mu1, k1), (mu2, k2) = piece1, piece2
+            if mu1.vec or mu2.vec:
                 mu = self._exp_sum(mu1, mu2)
                 (r1, s1), r2 = rs1, rs2[0]
-                derived = []
+                terms = []
                 for (r, s), q in self._unit_product(rs1, (ZERO, k1), rs2, (ZERO, k2)):
                     j = r1 + r2 - r
                     w = cmath.exp(mu1 * (r2 - j) + mu2 * (s1 - j))
-                    derived.append(((r, s), self._times_exp(q, mu, w)))
-                self._derived[memo_key] = derived
-            return derived
-        memo_key = (rs1, k1, rs2, k2)
-        terms = self._leg_products.get(memo_key)
-        if terms is None:
-            prod = self.product(self._leg_monomial(rs1, (ZERO, k1)),
-                                self._leg_monomial(rs2, (ZERO, k2)))
-            terms = self._leg_products[memo_key] = list(prod.terms.items())
+                    terms.append(((r, s), self._times_exp(q, mu, w)))
+            else:
+                prod = self.product(self._leg_monomial(rs1, (ZERO, k1)),
+                                    self._leg_monomial(rs2, (ZERO, k2)))
+                terms = list(prod.terms.items())
+            self._leg_products[memo_key] = terms
         return terms
 
     def tensor_product(self, t, u):
@@ -772,31 +760,27 @@ class HopfOscillator:
         antipode.  Each derived part has the term keys of the direct image,
         its coefficients to roundoff, and the scale of the kept part times
         the magnitude of that factor."""
-        mu, k = piece
-        if mu.vec:
-            memo_key = (width, rs, piece)
-            derived = self._derived.get(memo_key)
-            if derived is None:
-                images = self._leg_image(width, rs, (ZERO, k))
-                if width == 2:
-                    w = cmath.exp(mu * self.params.gamma)
-                    derived = [(part, self._times_exp(ipoly, mu, w)) for part, ipoly in images]
-                else:
-                    minus, s, gamma = exponent((mu, -1)), rs[1], self.params.gamma
-                    derived = []
-                    for part, ipoly in images:
-                        ((ri, _),) = part
-                        w = cmath.exp(minus * (s + ri + 2 * gamma))
-                        derived.append((part, self._times_exp(ipoly, minus, w)))
-                self._derived[memo_key] = derived
-            return derived
-        memo_key = (width, rs, k)
+        memo_key = (width, rs, piece)
         images = self._leg_images.get(memo_key)
         if images is None:
-            hopf_map = self.coproduct if width == 2 else self.antipode
-            image = hopf_map(self._leg_monomial(rs, (ZERO, k)))
-            images = self._leg_images[memo_key] = [
-                (ikey if width == 2 else (ikey,), ipoly) for ikey, ipoly in image.terms.items()]
+            mu, k = piece
+            if not mu.vec:
+                hopf_map = self.coproduct if width == 2 else self.antipode
+                image = hopf_map(self._leg_monomial(rs, (ZERO, k)))
+                images = [(ikey if width == 2 else (ikey,), ipoly)
+                          for ikey, ipoly in image.terms.items()]
+            elif width == 2:
+                w = cmath.exp(mu * self.params.gamma)
+                images = [(part, self._times_exp(ipoly, mu, w))
+                          for part, ipoly in self._leg_image(width, rs, (ZERO, k))]
+            else:
+                minus, s, gamma = exponent((mu, -1)), rs[1], self.params.gamma
+                images = []
+                for part, ipoly in self._leg_image(width, rs, (ZERO, k)):
+                    ((ri, _),) = part
+                    w = cmath.exp(minus * (s + ri + 2 * gamma))
+                    images.append((part, self._times_exp(ipoly, minus, w)))
+            self._leg_images[memo_key] = images
         return images
 
     # ------------------------------------------------------------- structure

@@ -522,24 +522,24 @@ def test_caches_do_not_leak_between_instances(prop1_params, generic_params):
             assert rep.to_json() == ref.to_json()
             if failures is not None:
                 assert {c.name for c in rep.failures()} == failures
-    assert all(alg._derived and alg._derived_keys and alg._exp_sums for alg in runs)
+    assert all(any(piece[0].vec for _, _, piece in alg._leg_images) and alg._exp_sums
+               for alg in runs)
 
 
 def test_caches_leave_no_reference_cycle(prop1_params):
-    # the caches hold term dicts, ExpPolys, term keys and exponents, never an
-    # element (which points back at the algebra), so reference counting
-    # alone frees the instance; the derived leg entries, their shared term
-    # keys and the exponent sums among them
+    # the caches hold term dicts, ExpPolys and exponents, never an element
+    # (which points back at the algebra), so reference counting alone frees
+    # the instance; the derived leg entries and the exponent sums among them
     gc.disable()
     try:
         alg = HopfOscillator(prop1_params)
         alg.check_axioms()
         assert alg._exp_sums and all(type(mu) is Exponent for mu in alg._exp_sums.values())
-        polys = [poly for entry in alg._derived.values() for _, poly in entry]
+        polys = [poly for cache in (alg._leg_images, alg._leg_products)
+                 for entry in cache.values() for _, poly in entry]
         assert polys and all(type(poly) is ExpPoly for poly in polys)
-        keys = alg._derived_keys
-        assert all(keys[key] is key for poly in polys for key in poly.terms)
-        assert all(type(mu) is Exponent and type(k) is int for key in keys for mu, k in key)
+        assert all(type(mu) is Exponent and type(k) is int
+                   for poly in polys for key in poly.terms for mu, k in key)
         ref = weakref.ref(alg)
         del alg
         assert ref() is None
@@ -583,19 +583,21 @@ def test_check_axioms_work_is_pinned(monkeypatch, prop1_params):
     alg.check_axioms()
     assert calls == {"product": 75, "tensor_product": 12, "embed": 4, "substitute": 171,
                      "__init__": 1568}
-    # the entries formed directly: one per ladder shape and power met (80
-    # images and 89 products when each exponent formed its own); the derived
-    # ones: 66 images, keyed (width, rs, piece), and 74 products, keyed
-    # (rs1, piece1, rs2, piece2), whose 296 terms share 102 keys; 69
-    # distinct exponent sums
-    assert (len(alg._leg_images), len(alg._leg_products)) == (30, 34)
-    derived_images = sum(len(key) == 3 for key in alg._derived)
-    assert (derived_images, len(alg._derived) - derived_images) == (66, 74)
-    assert (len(alg._derived_keys), len(alg._exp_sums)) == (102, 69)
+    # the leg entries, formed directly at mu = 0 (one per ladder shape and
+    # power met; 80 images and 89 products when each exponent formed its
+    # own) and derived at the other pieces (mu, k) met; 69 distinct exponent
+    # sums
+    def entries():
+        images = [piece[0].vec for _, _, piece in alg._leg_images]
+        products = [p1[0].vec or p2[0].vec for _, p1, _, p2 in alg._leg_products]
+        return ((images.count(()), len(images) - images.count(())),
+                (products.count(()), len(products) - products.count(())),
+                len(alg._exp_sums))
+    assert entries() == ((30, 66), (34, 74), 69)
     alg.check_axioms()
     assert calls == {"product": 75 + 7, "tensor_product": 12 + 7, "embed": 4,
                      "substitute": 171 + 74, "__init__": 1568 + 961}
-    assert (len(alg._derived), len(alg._derived_keys), len(alg._exp_sums)) == (140, 102, 69)
+    assert entries() == ((30, 66), (34, 74), 69)
 
 
 # --------------------------------------------------------------------- counit

@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
-"""Run ``perfbench/run.py`` on two revisions in alternating pairs and write
-a summary.
+"""Run the benchmark of ``BENCHMARK.json`` on two commits in alternating
+pairs and write a summary.
 
     python3 tools/bench_pairs.py --parent REV --change REV --out BENCH.json
-        [--workloads cli-cold,hopf-symbolic,rmatrix-sectors] [--seeds 101-110]
-        [--seconds 25] [--trace-seconds 8] [--claim hopf-symbolic:pass_s]
-        [--workdir DIR]
+        [--seeds 101-110] [--claim hopf-symbolic:pass_s]
 
-Each revision is exported with ``git archive`` into its own directory under
-``--workdir`` (a new temporary directory by default), and ``run.py`` runs
-there: the checkout this script is run from is only read, and nothing is
-written under its ``perfbench/``.  To measure uncommitted work, stage it and
-pass ``$(git stash create)`` as ``--change``.
+Each commit is exported with ``git archive`` into a temporary directory,
+which is removed at the end, and the benchmark command runs there on the
+committed files alone, the way a fresh checkout runs it: the checkout this
+script is run from is only read.  Every workload of ``BENCHMARK.json`` runs
+for its ``run_seconds``.
 
 Pair i runs seed i of ``--seeds`` on both sides with ``--trace 0``, the
 parent first in even pairs and the change first in odd ones.  For each
 workload and side the summary gives every end-to-end metric's values, median
 and quartiles, the ``correct`` and ``failed`` fields of every run, and the
-work counts and per-layer metrics of one ``--trace 1`` run on the first seed.  For ``--claim`` it
-counts the pairs where the change is lower and compares the difference of
-the medians with the parent's interquartile range.
+work counts and per-layer metrics of one ``--trace 1`` run on the first
+seed.  For ``--claim`` it counts the pairs where the change is lower and
+compares the difference of the medians with the parent's interquartile
+range.
 """
 
 import argparse
@@ -30,28 +29,25 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("cli-cold", "hopf-symbolic", "rmatrix-sectors")
+REPO = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 
 
-def git(repo, *args, binary=False):
-    out = subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
-    return out.stdout if binary else out.stdout.decode().strip()
-
-
-def export(repo, rev, dest):
-    """The files of ``rev`` under ``dest``; returns the full commit id."""
-    sha = git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}")
-    dest.mkdir(parents=True)
-    subprocess.run(["tar", "-x", "-C", str(dest)], check=True,
-                   input=git(repo, "archive", "--format=tar", sha, binary=True))
+def export(rev, dest):
+    """The files of commit ``rev`` under ``dest``; returns its full id."""
+    sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha],
+                             check=True, capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], check=True, input=archive)
     return sha
 
 
-def run(tree, workload, seed, seconds, trace):
-    """The result line of one ``run.py`` run in ``tree``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run(tree, command, workload, seed, seconds, trace):
+    """The result line of one benchmark run in ``tree``."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -70,54 +66,53 @@ def seed_range(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def side_summary(results, traced):
+    metrics = {name: spread([r["metrics"][name]["value"] for r in results])
+               for name in results[0]["metrics"]}
+    return {"metrics": metrics,
+            "correct": [r["correct"] for r in results],
+            "failed": [r["failed"] for r in results],
+            "attempted": [r["attempted"] for r in results],
+            "traced_correct": traced["correct"],
+            "traced_counts": {k: m["value"] for k, m in traced["metrics"].items()
+                              if m["unit"] == "count"},
+            "traced_layers": {k: m["value"] for k, m in traced["metrics"].items()
+                              if m["unit"] != "count"}}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--seeds", default="101-110", type=seed_range)
-    ap.add_argument("--seconds", default=25, type=int)
-    ap.add_argument("--trace-seconds", default=8, type=int)
     ap.add_argument("--claim", default=None, help="workload:metric that should fall")
-    ap.add_argument("--workdir", default=None, type=Path)
     args = ap.parse_args(argv)
-    repo = Path(__file__).resolve().parent.parent
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    trees = {side: workdir / side for side in ("parent", "change")}
-    shas = {side: export(repo, getattr(args, side), trees[side]) for side in trees}
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    command, seconds = bench["command"], bench["run_seconds"]
 
-    summary = {"command": f"perfbench/run.py --seconds {args.seconds} --trace 0",
-               "traced": f"perfbench/run.py --seconds {args.trace_seconds} --trace 1",
-               "parent": shas["parent"], "change": shas["change"], "seeds": args.seeds,
-               "order": "parent first in even pairs, change first in odd pairs",
-               "quartiles": "statistics.quantiles(n=4, method='inclusive')",
-               "workloads": {}}
-    for workload in args.workloads.split(","):
-        runs = {"parent": [], "change": []}
-        for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                res = run(trees[side], workload, seed, args.seconds, 0)
-                runs[side].append(res)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{json.dumps({k: m['value'] for k, m in res['metrics'].items()})}",
-                      file=sys.stderr)
-        entry = {}
-        for side, results in runs.items():
-            metrics = {name: spread([r["metrics"][name]["value"] for r in results])
-                       for name in results[0]["metrics"]}
-            traced = run(trees[side], workload, args.seeds[0], args.trace_seconds, 1)
-            entry[side] = {"metrics": metrics,
-                           "correct": [r["correct"] for r in results],
-                           "failed": [r["failed"] for r in results],
-                           "attempted": [r["attempted"] for r in results],
-                           "traced_correct": traced["correct"],
-                           "traced_counts": {k: m["value"] for k, m in traced["metrics"].items()
-                                             if m["unit"] == "count"},
-                           "traced_layers": {k: m["value"] for k, m in traced["metrics"].items()
-                                             if m["unit"] != "count"}}
-        summary["workloads"][workload] = entry
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        trees = {side: Path(workdir) / side for side in ("parent", "change")}
+        shas = {side: export(getattr(args, side), trees[side]) for side in trees}
+        summary = {"command": f"{' '.join(command)} --seconds {seconds} --trace 0",
+                   "traced": f"{' '.join(command)} --seconds {seconds} --trace 1",
+                   "parent": shas["parent"], "change": shas["change"], "seeds": args.seeds,
+                   "order": "parent first in even pairs, change first in odd pairs",
+                   "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+                   "workloads": {}}
+        for workload in [w["name"] for w in bench["workloads"]]:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(args.seeds):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    res = run(trees[side], command, workload, seed, seconds, 0)
+                    runs[side].append(res)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{json.dumps({k: m['value'] for k, m in res['metrics'].items()})}",
+                          file=sys.stderr)
+            summary["workloads"][workload] = {
+                side: side_summary(results,
+                                   run(trees[side], command, workload, args.seeds[0], seconds, 1))
+                for side, results in runs.items()}
 
     if args.claim:
         workload, metric = args.claim.split(":")
@@ -130,7 +125,7 @@ def main(argv=None):
             "median_difference": old["median"] - new["median"],
             "parent_iqr": old["q3"] - old["q1"]}
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {args.out} (trees in {workdir})", file=sys.stderr)
+    print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
