@@ -30,8 +30,9 @@ import sys
 
 from .report import CheckReport
 
-# the largest --max-sector: the 3-leg blocks of sectors 0..M hold about
-# M^5/20 entries, and at M = 32 a run takes about 1.5 s and 220 MB
+# the largest --max-sector: a run keeps the gather plans of the 3-leg
+# sectors 0..M (11 million indices at M = 32) and forms the 3-leg blocks one
+# sector at a time; at M = 32 it takes about 1 s and 132 MB on 2 vCPUs
 MAX_SECTOR = 32
 
 _OSC_KEYS = ("kappa1", "kappa2", "gamma1", "gamma2", "g0")
@@ -279,9 +280,6 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
             qt = check_quasitriangularity(params, m_max)
             r = qt.rmatrix
         rep.extend(qt, prefix="qt/")
-        # under --oh-singh this frees the general-form R and its embeddings
-        # before r is embedded
-        del qt
         rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
         if dump_path:
             payload = r.to_payload(rep.params)

@@ -18,9 +18,8 @@ general (kappa1, kappa2, gamma) form and, independently, in the q-oscillator
 (eps, alpha, beta, k) form, and the quasitriangularity relations plus the
 Yang-Baxter equation are checked as finite matrix identities.  Each check
 reads R, and its 3-leg embeddings R12, R13 and R23, from 2-leg sector
-blocks; an operator builds its embeddings once and keeps them, so a
-Yang-Baxter check on the R that the quasitriangularity check built and
-returned embeds nothing again.  The coproduct splits
+blocks, forming the embeddings of one sector inside its sector loop, so no
+3-leg block outlives the sector that reads it.  The coproduct splits
 (coproduct (x) id) R and (id (x) coproduct) R are built term by term of the
 series from the represented coproduct(a) and coproduct(adag) blocks, since
 the coproduct is an algebra map on the module.  Each 3-leg block, an
@@ -52,7 +51,7 @@ overflow or invalid (``_sector_blocks``).
 
 import cmath
 import math
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -196,6 +195,12 @@ def interior_residual(a, b, margin):
 
 
 # ------------------------------------------------------------------- sectors
+def _refuse_negative(m_max):
+    """Raise ValueError when the sector cap ``m_max`` is negative."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+
+
 def sector_dim(m, legs):
     if m < 0:
         return 0
@@ -224,25 +229,6 @@ class SectorOperator:
 
     def sectors(self):
         return sorted(self.blocks)
-
-    @cached_property
-    def embeddings(self):
-        """(R12, R13, R23): the 3-leg embeddings of this 2-leg degree-0
-        operator on every sector it has, built on first use and kept with it,
-        so the checks that read one R embed it once.  An operator that is not
-        2-leg and degree 0, or lacks a (s+1) x (s+1) block on a sector s
-        below its top one, raises ValueError."""
-        if (self.legs, self.degree) != (2, 0):
-            raise ValueError(f"only a 2-leg degree-0 operator embeds into 3 legs, not a "
-                             f"{self.legs}-leg degree-{self.degree} one")
-        top = max(self.blocks, default=-1)
-        for s in range(top + 1):
-            if s not in self.blocks:
-                raise ValueError(f"cannot embed: no block for sector {s} below sector {top}")
-            if np.shape(self.blocks[s]) != (s + 1, s + 1):
-                raise ValueError(f"cannot embed: the sector {s} block has shape "
-                                 f"{np.shape(self.blocks[s])}, not {(s + 1, s + 1)}")
-        return tuple(_embed_pair(self, pair, top) for pair in _PAIRS)
 
     def to_payload(self, params=None):
         """JSON-ready dump: {params, legs, degree, sectors:[{M, rows, cols,
@@ -370,6 +356,7 @@ def represent_tensor(t, params, m_max):
     one that no reachable state reads never does, and a block that is not
     finite raises as ``_sector_blocks`` says, naming ``t``.
     """
+    _refuse_negative(m_max)
     degrees = t.degrees()
     if len(degrees) > 1:
         raise ValueError(f"tensor element mixes sector degrees {sorted(degrees)}")
@@ -576,6 +563,7 @@ def _blocks_from_amplitude(amp, m_max):
     (j + n, j) of sector m takes |m - j, j> to |m - j - n, j + n>, placed
     into one flat vector of the blocks, the entries taken by n descending;
     a block that is not finite raises as ``_sector_blocks`` says, naming R."""
+    _refuse_negative(m_max)
     k = np.arange(m_max + 1)
     n, m, j = np.nonzero(np.subtract.outer(k[::-1], np.subtract.outer(k, k)) <= 0)
     n = m_max - n
@@ -598,7 +586,7 @@ def _sector_plans(m):
     """The gather plans of the 3-leg blocks of sector m, built from its
     states on first use and kept for the process, read-only and in the
     smallest signed dtype that holds every index: the embeddings on legs
-    (0, 1), (0, 2) and (1, 2) (``_embed_pair``), then the coproduct splits
+    (0, 1), (0, 2) and (1, 2) (``_embedded``), then the coproduct splits
     on legs (0, 1) and (1, 2) (``_split_block``).
 
     Each plan indexes a flat vector of row-major 2-leg pieces: a piece maps
@@ -652,16 +640,35 @@ def _sector_plans(m):
     return tuple(plans)
 
 
-def _embed_pair(r2, pair, m_max):
-    """3-leg embedding of a 2-leg degree-0 operator acting on legs ``pair``.
+def _embedded(r, m):
+    """(R12, R13, R23): the 3-leg sector m blocks of the 2-leg degree-0
+    operator ``r`` acting on legs (0, 1), (0, 2) and (1, 2).
 
     Legs (i, j) of a 3-leg state span the 2-leg sector n_i + n_j, so each
-    3-leg entry is the one entry of the 2-leg block ``r2`` it equals, or 0.
+    3-leg entry is the one entry of a block 0..m of ``r`` it equals, or 0.
     """
     flat = np.concatenate([np.zeros(1, dtype=complex),
-                           *(r2.blocks[s] for s in range(m_max + 1))], axis=None)
-    k = _PAIRS.index(pair)
-    return SectorOperator(3, 0, {m: flat.take(_sector_plans(m)[k]) for m in range(m_max + 1)})
+                           *(r.blocks[s] for s in range(m + 1))], axis=None)
+    return tuple(flat.take(plan) for plan in _sector_plans(m)[:len(_PAIRS)])
+
+
+def _refuse_unembeddable(r, m_max):
+    """Raise ValueError unless ``r`` is a 2-leg degree-0 operator with an
+    (s+1) x (s+1) block on every sector s up to its top one and m_max >= 0."""
+    _refuse_negative(m_max)
+    if (r.legs, r.degree) != (2, 0):
+        raise ValueError(f"only a 2-leg degree-0 operator embeds into 3 legs, not a "
+                         f"{r.legs}-leg degree-{r.degree} one")
+    top = max(r.blocks, default=-1)
+    for s in range(top + 1):
+        if s not in r.blocks:
+            raise ValueError(f"cannot embed: no block for sector {s} below sector {top}")
+        if np.shape(r.blocks[s]) != (s + 1, s + 1):
+            raise ValueError(f"cannot embed: the sector {s} block has shape "
+                             f"{np.shape(r.blocks[s])}, not {(s + 1, s + 1)}")
+    if m_max > top:
+        raise ValueError(f"R has no block for sector {top + 1}; Yang-Baxter up to sector "
+                         f"{m_max} needs sectors 0..{m_max}")
 
 
 def _split_block(split_plan, m, raw, coeffs, scale):
@@ -802,9 +809,9 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """Verify the three quasitriangularity relations per sector M <= m_max.
 
     R is ``build_rmatrix(params, m_max, lambda_sq)``, built here, and the
-    report keeps it as ``rmatrix``, its 3-leg embeddings built, so that a
-    caller judges Yang-Baxter on (``check_yang_baxter``) and dumps the very
-    blocks judged here, embedded once.
+    report keeps it as ``rmatrix``, so that a caller judges Yang-Baxter on
+    (``check_yang_baxter``) and dumps the very blocks judged here.  R12, R13
+    and R23 are formed per sector and dropped with it (``_embedded``).
     (coproduct (x) id) R = R13 R23 and (id (x) coproduct) R = R13 R12 are
     evaluated term by term of the series (finite per sector), the coproduct
     of each term built from the represented coproduct(a) and coproduct(adag)
@@ -819,7 +826,6 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """
     amp = _RMatrixAmplitude(params, m_max, lambda_sq)
     r2 = _blocks_from_amplitude(amp, m_max)
-    r12, r13, r23 = r2.embeddings
     algebra = HopfOscillator(params)
     rep = CheckReport(params=params.to_dict())
     rep.rmatrix = r2
@@ -830,11 +836,10 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
 
     splits = _coproduct_splits(amp, coproducts["a"], coproducts["adag"], m_max)
     for m, (lhs_left, lhs_right) in enumerate(splits):
-        rhs = r13.blocks[m] @ r23.blocks[m]
-        r = _rel_residual(lhs_left, rhs)
+        r12, r13, r23 = _embedded(r2, m)
+        r = _rel_residual(lhs_left, r13 @ r23)
         rep.add(f"coproduct-split-left[M={m}]", r <= tol, r)
-        rhs = r13.blocks[m] @ r12.blocks[m]
-        r = _rel_residual(lhs_right, rhs)
+        r = _rel_residual(lhs_right, r13 @ r12)
         rep.add(f"coproduct-split-right[M={m}]", r <= tol, r)
 
     for name, _, deg in probes:
@@ -851,16 +856,12 @@ def check_yang_baxter(r, m_max, tol=1e-8):
     """R12 R13 R23 = R23 R13 R12 per 3-leg sector M <= m_max, on the 3-leg
     embeddings of the 2-leg R blocks ``r`` (from ``build_rmatrix``,
     ``build_rmatrix_oh_singh`` or the ``rmatrix`` of a
-    ``check_quasitriangularity`` report, whose embeddings are already built
-    and are not built again).  R needs blocks on sectors 0..m_max."""
+    ``check_quasitriangularity`` report), formed per sector and dropped with
+    it (``_embedded``).  R needs blocks on sectors 0..m_max."""
+    _refuse_unembeddable(r, m_max)
     rep = CheckReport()
-    r12, r13, r23 = r.embeddings
-    if m_max >= len(r12.blocks):
-        raise ValueError(f"R has no block for sector {len(r12.blocks)}; Yang-Baxter "
-                         f"up to sector {m_max} needs sectors 0..{m_max}")
     for m in range(m_max + 1):
-        lhs = r12.blocks[m] @ r13.blocks[m] @ r23.blocks[m]
-        rhs = r23.blocks[m] @ r13.blocks[m] @ r12.blocks[m]
-        res = _rel_residual(lhs, rhs)
+        r12, r13, r23 = _embedded(r, m)
+        res = _rel_residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
         rep.add(f"yang-baxter[M={m}]", res <= tol, res)
     return rep

@@ -134,13 +134,14 @@ OH_SINGH_ARGV = ["--eps", "0.5", "--alpha", "1.2", "--beta", "0.3", "--k", "0", 
 OH_SINGH = OhSinghParams(0.5, 1.2, 0.3, 0)
 
 
-@pytest.mark.parametrize("argv, blocks, embeds", [
-    (GENERAL_ARGV, 1, 3),
+@pytest.mark.parametrize("argv, blocks", [
+    (GENERAL_ARGV, 1),
     # the q-oscillator R for ybe/ and the dump, the general R for qt/
-    (OH_SINGH_ARGV, 2, 6),
+    (OH_SINGH_ARGV, 2),
 ], ids=["general", "oh-singh"])
-def test_verify_rmatrix_builds_and_embeds_each_r_once(capsys, monkeypatch, argv, blocks,
-                                                      embeds):
+def test_verify_rmatrix_builds_and_embeds_each_r_once(capsys, monkeypatch, argv, blocks):
+    # R is built once per form; qt/ and ybe/ each embed the R they judge once
+    # per sector 0..6, in both forms
     calls = {"blocks": 0, "embeds": 0}
 
     def counted(fn, key):
@@ -151,10 +152,10 @@ def test_verify_rmatrix_builds_and_embeds_each_r_once(capsys, monkeypatch, argv,
 
     monkeypatch.setattr(fock, "_blocks_from_amplitude",
                         counted(fock._blocks_from_amplitude, "blocks"))
-    monkeypatch.setattr(fock, "_embed_pair", counted(fock._embed_pair, "embeds"))
+    monkeypatch.setattr(fock, "_embedded", counted(fock._embedded, "embeds"))
     code, _, _ = run(capsys, "verify-rmatrix", *argv, "--max-sector", "6")
     assert code == 0
-    assert calls == {"blocks": blocks, "embeds": embeds}
+    assert calls == {"blocks": blocks, "embeds": 2 * 7}
 
 
 @pytest.mark.parametrize("argv", [GENERAL_ARGV, OH_SINGH_ARGV], ids=["general", "oh-singh"])

@@ -12,7 +12,7 @@ from qhopf import (CheckReport, OhSinghParams, build_params, build_rmatrix,
                    represent_tensor, sector_states)
 from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _coproduct_splits,
-                        _embed_pair, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
+                        _embedded, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
 from qhopf.hopf import HopfOscillator, TensorElement
 from loop_reference import amplitude
 from series_reference import series_tensor_terms, split_prefactor
@@ -233,6 +233,19 @@ def test_yang_baxter_refuses_a_sector_cap_past_r(generic_params):
         check_yang_baxter(build_rmatrix(generic_params, 3), 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: check_yang_baxter(build_rmatrix(p, 3), -1),
+    lambda p: check_quasitriangularity(p, -1),
+    lambda p: represent_tensor(HopfOscillator(p).coproduct(HopfOscillator(p).lowering()), p, -1),
+    lambda p: build_rmatrix(p, -1),
+    lambda p: build_rmatrix_oh_singh(OhSinghParams(0.5, 1.2, 0.3, 0), -1),
+], ids=["yang-baxter", "quasitriangularity", "represent-tensor", "rmatrix", "rmatrix-oh-singh"])
+def test_negative_sector_cap_is_refused(generic_params, call):
+    # none returns an empty operator or a report that passes on no sector
+    with pytest.raises(ValueError, match=r"^m_max must be nonnegative, got -1$"):
+        call(generic_params)
+
+
 @pytest.mark.parametrize("operator, message", [
     (SectorOperator(3, 0, {0: np.eye(1), 1: np.eye(3)}),
      "only a 2-leg degree-0 operator embeds into 3 legs, not a 3-leg degree-0 one"),
@@ -244,8 +257,6 @@ def test_yang_baxter_refuses_a_sector_cap_past_r(generic_params):
      r"cannot embed: the sector 1 block has shape \(3, 3\), not \(2, 2\)"),
 ], ids=["three-legs", "degree-one", "missing-sector", "wrong-shape"])
 def test_embeddings_refuse_what_they_cannot_embed(operator, message):
-    with pytest.raises(ValueError, match=message):
-        operator.embeddings
     with pytest.raises(ValueError, match=message):
         check_yang_baxter(operator, 0)
 
@@ -402,12 +413,13 @@ def test_embed_pair_equals_amplitude_loop(pair, form):
     else:
         amp = _OhSinghAmplitude(OhSinghParams(0.5, 1.2, 0.3, 0), m_max)
     r2 = _blocks_from_amplitude(amp, m_max)
-    got = _embed_pair(r2, pair, m_max)
     want = reference_embed_pair(amp, pair, m_max)
     loop = reference_embed_loop(r2, pair, m_max)
+    k = [(0, 1), (0, 2), (1, 2)].index(pair)
     for m in range(m_max + 1):
-        assert np.array_equal(got.blocks[m], want[m])
-        assert np.array_equal(got.blocks[m], loop[m])
+        got = _embedded(r2, m)[k]
+        assert np.array_equal(got, want[m])
+        assert np.array_equal(got, loop[m])
 
 
 # --------------------------------------------------------- residual overflow

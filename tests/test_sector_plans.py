@@ -7,6 +7,7 @@ inline residual against ``np.linalg.norm`` is a property test in
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ def assert_blocks_equal_reference(name, m_max):
     p = PACKS[name]
     amp = _RMatrixAmplitude(p, m_max)
     r2 = _blocks_from_amplitude(amp, m_max)
-    for pair, got in zip(PAIRS, r2.embeddings):
-        want = ref.embed_pair(r2, pair, m_max)
-        for m in range(m_max + 1):
-            assert same_bits(got.blocks[m], want.blocks[m]), (name, m_max, pair, m)
+    want = [ref.embed_pair(r2, pair, m_max) for pair in PAIRS]
+    for m in range(m_max + 1):
+        for pair, got, w in zip(PAIRS, fock._embedded(r2, m), want):
+            assert same_bits(got, w.blocks[m]), (name, m_max, pair, m)
     d_a, d_adag = coproduct_blocks(p, m_max)
     got = list(_coproduct_splits(amp, d_a, d_adag, m_max))
     want = list(ref.coproduct_splits(amp, d_a, d_adag, m_max))
@@ -95,6 +96,24 @@ def test_reported_residuals_equal_reference_blocks(pack):
         assert got[f"coproduct-split-right[M={m}]"] == ref.rel_residual(right, r13[m] @ r12[m])
         assert got[f"yang-baxter[M={m}]"] == ref.rel_residual(r12[m] @ r13[m] @ r23[m],
                                                               r23[m] @ r13[m] @ r12[m])
+
+
+def test_three_leg_blocks_do_not_outlive_their_sector():
+    # R12, R13 and R23 are formed per sector and dropped with it, so the
+    # traced peak of both checks at M = 22, the gather plans they build
+    # included, is about 17 MB.  The bound lies below the 33 MB they reach
+    # when the embeddings of every sector are kept with R.
+    fock._sector_plans.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = check_quasitriangularity(PACKS["generic-real"], 22)
+        ybe = check_yang_baxter(rep.rmatrix, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and ybe.passed
+    assert peak < 24e6
+    assert set(vars(rep.rmatrix)) == {"legs", "degree", "blocks"}
 
 
 # the errstates: the CLI's, one flag raising at a time, and none
