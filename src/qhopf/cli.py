@@ -261,33 +261,28 @@ def _cmd_verify_rmatrix(vals, oh_singh_mode, dump_path):
                                   "max_sector": m_max})
     else:
         rep = CheckReport(params={**params.to_dict(), "max_sector": m_max})
-    import numpy as np
-
     from .fock import (build_rmatrix_oh_singh, check_quasitriangularity, check_yang_baxter,
                        compare_sector_operators)
 
-    # a numpy overflow, division by zero or invalid operation raises
-    # FloatingPointError, an ArithmeticError, instead of warning
-    with np.errstate(all="raise", under="ignore"):
-        if oh_singh_mode:
-            r = build_rmatrix_oh_singh(o, m_max)
-            # qt/ judges the general-form R, the one compared with r here
-            qt = check_quasitriangularity(params, m_max)
-            _, per = compare_sector_operators(r, qt.rmatrix)
-            for m, res in per.items():
-                rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
-        else:
-            qt = check_quasitriangularity(params, m_max)
-            r = qt.rmatrix
-        rep.extend(qt, prefix="qt/")
-        rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
-        if dump_path:
-            payload = r.to_payload(rep.params)
-            try:
-                with open(dump_path, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=1)
-            except OSError as exc:
-                raise UsageError(f"cannot write dump {dump_path}: {exc}") from exc
+    if oh_singh_mode:
+        r = build_rmatrix_oh_singh(o, m_max)
+        # qt/ judges the general-form R, the one compared with r here
+        qt = check_quasitriangularity(params, m_max)
+        _, per = compare_sector_operators(r, qt.rmatrix)
+        for m, res in per.items():
+            rep.add(f"realform-equivalence[M={m}]", res <= 1e-10, res)
+    else:
+        qt = check_quasitriangularity(params, m_max)
+        r = qt.rmatrix
+    rep.extend(qt, prefix="qt/")
+    rep.extend(check_yang_baxter(r, m_max), prefix="ybe/")
+    if dump_path:
+        payload = r.to_payload(rep.params)
+        try:
+            with open(dump_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=1)
+        except OSError as exc:
+            raise UsageError(f"cannot write dump {dump_path}: {exc}") from exc
     return rep
 
 
@@ -434,9 +429,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # extreme but well-formed parameters overflow cosh/sinh/exp, a numpy
-        # array or the exponent cap, divide by an underflowed zero, leave an
-        # antidifference that cannot close or a residual that is not finite
+        # extreme but well-formed parameters overflow cosh/sinh/exp or the
+        # exponent cap, divide by an underflowed zero, or leave an
+        # antidifference that cannot close, a sector block or a residual that
+        # is not finite
         print(f"error: parameters out of floating-point range ({exc})", file=sys.stderr)
         return 2
     if ns.format == "json":

@@ -317,9 +317,6 @@ class ExpPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, numbers.Complex) and not isinstance(other, ExpPoly):
             z = complex(other)
@@ -337,11 +334,6 @@ class ExpPoly:
         return ExpPoly(self.arity, raw, scale=self.scale * other.scale, canonical=True)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Complex):
-            return self * (1.0 / complex(other))
-        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -489,17 +481,9 @@ class ExpPoly:
         ``_exp_factor(mu, V)`` and then V**k where k > 0, summed from 0j in
         term order.  The first term with |mu * V| past EXP_ARG_CAP raises
         EvaluationOverflow."""
-        try:
-            pts = list(map(complex, point))
-        except (TypeError, ValueError):
-            pts = None
-        if pts is None or len(pts) != self.arity:
-            # one list or tuple of arguments, or a point to refuse
-            if len(point) == 1 and isinstance(point[0], (list, tuple)):
-                point = tuple(point[0])
-            if len(point) != self.arity:
-                raise ValueError(f"expected {self.arity} arguments, got {len(point)}")
-            pts = list(map(complex, point))
+        if len(point) != self.arity:
+            raise ValueError(f"expected {self.arity} arguments, got {len(point)}")
+        pts = list(map(complex, point))
         total = 0j
         for key, val in self.terms.items():
             for (mu, k), v in zip(key, pts):

@@ -43,10 +43,12 @@ applies the exponent cap, so this module holds no evaluator or cap of its
 own.  Every complex product is taken from real and imaginary parts
 (``_mul``), as a Python or numpy scalar product is, so the blocks are bit
 for bit those of evaluating entry by entry (the sign and payload of a nan
-aside).  The arrays run under ``np.errstate(all="ignore")`` and never warn:
-a table call that raises, the exponent cap included, raises as it is, and a
-block that is not finite is refused when the caller's errstate raises on
-overflow or invalid (``_sector_blocks``).
+aside).  ``represent_tensor``, the R entry arrays and both checks run under
+``np.errstate(all="ignore")`` and never warn, so the caller's errstate
+decides nothing: a table call that raises, the exponent cap included,
+raises as it is, a block that is not finite is refused naming the operator
+and the sector (``_sector_blocks``), and a residual that is not finite is
+refused naming the check and the sector (``CheckReport.add``).
 """
 
 import cmath
@@ -284,15 +286,13 @@ def _table(fn, *args):
 
 def _sector_blocks(legs, degree, flat, offset, name):
     """The SectorOperator whose sector m block, sector m to m + degree, is
-    ``flat[offset[m]:offset[m + 1]]`` in row-major order.  If the caller's
-    errstate raises on overflow or invalid, a block that is not finite
-    raises FloatingPointError naming ``name`` and the lowest such sector."""
-    errstate = np.geterr()
-    if "raise" in (errstate["over"], errstate["invalid"]):
-        bad = np.flatnonzero(~np.isfinite(flat))
-        if len(bad):
-            m = np.searchsorted(offset, bad[0], side="right") - 1
-            raise FloatingPointError(f"the sector {m} block of {name} is not finite")
+    ``flat[offset[m]:offset[m + 1]]`` in row-major order.  A block that is
+    not finite raises FloatingPointError naming ``name`` and the lowest such
+    sector."""
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        m = np.searchsorted(offset, bad[0], side="right") - 1
+        raise FloatingPointError(f"the sector {m} block of {name} is not finite")
     return SectorOperator(legs, degree, {
         m: flat[offset[m]:offset[m + 1]].reshape(sector_dim(m + degree, legs), sector_dim(m, legs))
         for m in range(len(offset) - 1)})
@@ -340,6 +340,7 @@ def _coefficients(poly, levels):
     return total
 
 
+@np.errstate(all="ignore")
 def represent_tensor(t, params, m_max):
     """SectorOperator of a tensor element on sectors 0..m_max of the
     parameter pack ``params`` (only its structure values are needed).
@@ -388,32 +389,31 @@ def represent_tensor(t, params, m_max):
     start = np.cumsum([0, *cols])
     flat = np.zeros(offset[-1], dtype=complex)
     ladders = {}
-    with np.errstate(all="ignore"):
-        for lows, highs, poly in terms:
-            mids = states[:start[max(m_max - sum(lows) + 1, 0)]]
-            m = level[:len(mids)] + sum(lows)
-            amp = _coefficients(poly, mids)
-            # a zero coefficient adds nothing
-            live = (amp[0] != 0) | (amp[1] != 0)
-            if not live.all():
-                live = np.flatnonzero(live)
-                amp = amp[0][live], amp[1][live]
-                mids, m = mids[live], m[live]
-            # each leg multiplies lower_amp[n][s] * raise_amp[mid][r] in, one
-            # table per (s, r) over mid
-            for j, (s, r) in enumerate(zip(lows, highs)):
-                if (s, r) not in ladders:
-                    ladders[s, r] = _mul(*(_parts(np.array(column, dtype=complex)) for column in (
-                        [lower_amp[v + s][s] for v in range(m_max + 1 - s)],
-                        [raise_amp[v][r] for v in range(m_max + 1 - s)])))
-                table, v = ladders[s, r], mids[:, j]
-                amp = _mul(amp, (table[0][v], table[1][v]))
-            # the target mids + highs of sector m + degree, the source
-            # mids + lows of sector m
-            pos = (offset[m] + _state_index(mids + highs) * cols[m]
-                   + _state_index(mids + lows))
-            flat.real[pos] += amp[0]
-            flat.imag[pos] += amp[1]
+    for lows, highs, poly in terms:
+        mids = states[:start[max(m_max - sum(lows) + 1, 0)]]
+        m = level[:len(mids)] + sum(lows)
+        amp = _coefficients(poly, mids)
+        # a zero coefficient adds nothing
+        live = (amp[0] != 0) | (amp[1] != 0)
+        if not live.all():
+            live = np.flatnonzero(live)
+            amp = amp[0][live], amp[1][live]
+            mids, m = mids[live], m[live]
+        # each leg multiplies lower_amp[n][s] * raise_amp[mid][r] in, one
+        # table per (s, r) over mid
+        for j, (s, r) in enumerate(zip(lows, highs)):
+            if (s, r) not in ladders:
+                ladders[s, r] = _mul(*(_parts(np.array(column, dtype=complex)) for column in (
+                    [lower_amp[v + s][s] for v in range(m_max + 1 - s)],
+                    [raise_amp[v][r] for v in range(m_max + 1 - s)])))
+            table, v = ladders[s, r], mids[:, j]
+            amp = _mul(amp, (table[0][v], table[1][v]))
+        # the target mids + highs of sector m + degree, the source
+        # mids + lows of sector m
+        pos = (offset[m] + _state_index(mids + highs) * cols[m]
+               + _state_index(mids + lows))
+        flat.real[pos] += amp[0]
+        flat.imag[pos] += amp[1]
     return _sector_blocks(legs, degree, flat, offset, t)
 
 
@@ -679,8 +679,7 @@ def _split_block(split_plan, m, raw, coeffs, scale):
 
     Each piece is multiplied by its scalar with the scalar operand first and
     then row by row by its prefactor: the operations, and the operand order,
-    that give the bits of the pieces scaled and placed one by one.  A flag
-    raises as the caller's errstate says, for all pieces at once.
+    that give the bits of the pieces scaled and placed one by one.
     """
     order, w, sizes, n, plan = split_plan
     out = np.zeros(n + m + 1, dtype=complex)
@@ -763,48 +762,35 @@ def _coproduct_splits(amp, d_a, d_adag, m_max):
     _, sqrt_f, _ = _structure_values(p, 2 * m_max + 1)
     lower_amp, raise_amp = _ladder_amps(sqrt_f, m_max + 1, m_max)
     # the raw vectors of the split plans up to sector m_max, each sector
-    # reading a prefix.  A numpy flag that the caller's errstate raises here
-    # or in the blocks below is raised again naming the operator and the
-    # sector, as a block of R that is not finite is
+    # reading a prefix
     downs, ups, up = [], [], []
-    try:
-        for s in range(m_max + 1):
-            downs.append(np.eye(s + 1, dtype=complex))
-            for n in range(1, s + 1):
-                downs.append(d_a.blocks[s - n + 1] @ downs[-1])
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"the sector {s} block of coproduct(a)^{n}: {exc}") from exc
-    try:
-        for k in range(m_max + 1):
-            # up[s] = coproduct(adag)^(k - s) on sector s
-            for s in range(k):
-                up[s] = d_adag.blocks[k - 1] @ up[s]
-            up.append(np.eye(k + 1, dtype=complex))
-            ups += up
-    except FloatingPointError as exc:
-        raise FloatingPointError(
-            f"the sector {s} block of coproduct(adag)^{k - s}: {exc}") from exc
+    for s in range(m_max + 1):
+        downs.append(np.eye(s + 1, dtype=complex))
+        for n in range(1, s + 1):
+            downs.append(d_a.blocks[s - n + 1] @ downs[-1])
+    for k in range(m_max + 1):
+        # up[s] = coproduct(adag)^(k - s) on sector s
+        for s in range(k):
+            up[s] = d_adag.blocks[k - 1] @ up[s]
+        up.append(np.eye(k + 1, dtype=complex))
+        ups += up
     downs = np.concatenate(downs, axis=None)
     ups = np.concatenate(ups, axis=None)
     series, kappa, kappa1, gamma = amp.series, p.kappa, p.kappa1, p.gamma
     for m in range(m_max + 1):
         *_, left_plan, right_plan = _sector_plans(m)
-        name = "(coproduct (x) id) R"
-        try:
-            left = _split_block(left_plan, m, downs, [
-                series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma))
-                * raise_amp[t3][n] for t3 in range(m + 1) for n in range(m - t3 + 1)],
-                [cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)])
-            name = "(id (x) coproduct) R"
-            right = _split_block(right_plan, m, ups, [
-                series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma))
-                * lower_amp[n1][n] for n1 in range(m + 1) for n in range(n1 + 1)],
-                [cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)])
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"the sector {m} block of {name}: {exc}") from exc
+        left = _split_block(left_plan, m, downs, [
+            series[n] * cmath.exp(kappa1 * n * (m - 2 * t3 - n - 1 + gamma))
+            * raise_amp[t3][n] for t3 in range(m + 1) for n in range(m - t3 + 1)],
+            [cmath.exp(-kappa * (m - w + 2 * gamma) * (w + gamma)) for w in range(m + 1)])
+        right = _split_block(right_plan, m, ups, [
+            series[n] * cmath.exp(kappa1 * n * (2 * n1 - m - n - 1 - gamma))
+            * lower_amp[n1][n] for n1 in range(m + 1) for n in range(n1 + 1)],
+            [cmath.exp(-kappa * (w + gamma) * (m - w + 2 * gamma)) for w in range(m + 1)])
         yield left, right
 
 
+@np.errstate(all="ignore")
 def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     """Verify the three quasitriangularity relations per sector M <= m_max.
 
@@ -823,6 +809,9 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     rows and columns reversed: the leg swap |n1, n2> -> |n2, n1> reverses
     the sector basis.
     Residuals are relative Frobenius norms, each judged against ``tol``.
+    Products and residuals are taken with numpy's flags ignored: one that
+    leaves double range gives a residual that is not finite, which is
+    refused as FloatingPointError naming the check and the sector.
     """
     amp = _RMatrixAmplitude(params, m_max, lambda_sq)
     r2 = _blocks_from_amplitude(amp, m_max)
@@ -852,12 +841,15 @@ def check_quasitriangularity(params, m_max, tol=1e-9, lambda_sq=None):
     return rep
 
 
+@np.errstate(all="ignore")
 def check_yang_baxter(r, m_max, tol=1e-8):
     """R12 R13 R23 = R23 R13 R12 per 3-leg sector M <= m_max, on the 3-leg
     embeddings of the 2-leg R blocks ``r`` (from ``build_rmatrix``,
     ``build_rmatrix_oh_singh`` or the ``rmatrix`` of a
     ``check_quasitriangularity`` report), formed per sector and dropped with
-    it (``_embedded``).  R needs blocks on sectors 0..m_max."""
+    it (``_embedded``).  R needs blocks on sectors 0..m_max.  A product
+    that leaves double range is refused as in ``check_quasitriangularity``,
+    naming the sector."""
     _refuse_unembeddable(r, m_max)
     rep = CheckReport()
     for m in range(m_max + 1):

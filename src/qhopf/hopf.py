@@ -100,13 +100,13 @@ class HopfParams:
 
     ``g0`` is G(0), except on the gamma_zero branch where it plays G'(0).
     ``lambda_sq`` (populated on the generic branch only) feeds the R-matrix
-    series.  ``x = exp(kappa/2)`` and ``y = exp((kappa1+kappa2)/2)`` are the
-    X and Y of its formulas, kept for display; the series does not read them.
+    series.  ``x = exp(kappa/2)`` is the X of its formulas, kept for display;
+    the series does not read it.
     """
 
-    def __init__(self, kappa1, kappa2, gamma, g0, branch, kappa, x, y, lambda_sq):
+    def __init__(self, kappa1, kappa2, gamma, g0, branch, kappa, x, lambda_sq):
         self.kappa1, self.kappa2, self.gamma, self.g0 = kappa1, kappa2, gamma, g0
-        self.branch, self.kappa, self.x, self.y, self.lambda_sq = branch, kappa, x, y, lambda_sq
+        self.branch, self.kappa, self.x, self.lambda_sq = branch, kappa, x, lambda_sq
 
     def to_dict(self):
         out = {
@@ -160,8 +160,7 @@ def build_params(kappa1, kappa2, gamma, g0=1.0):
         lambda_sq = -g0 * cmath.sinh(kappa / 2) / s
         if not cmath.isfinite(lambda_sq):
             raise OverflowError(f"lambda^2 = {lambda_sq} exceeds double precision")
-    return HopfParams(kappa1, kappa2, gamma, g0, branch, kappa,
-                      cmath.exp(kappa / 2), cmath.exp((kappa1 + kappa2) / 2), lambda_sq)
+    return HopfParams(kappa1, kappa2, gamma, g0, branch, kappa, cmath.exp(kappa / 2), lambda_sq)
 
 
 def proposition1_params(xi, gamma1, k=0, g0=1.0, kappa_sum=0.0):
@@ -295,12 +294,7 @@ class _Element:
         return self._new({k: -f for k, f in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, _Element):
-            return self._product(other)
-        return self._new({k: f * other for k, f in self.terms.items()})
-
-    # a scalar on the left: element products never get here
-    __rmul__ = __mul__
+        return self._product(other)
 
     def is_zero(self):
         return not self.terms
@@ -334,14 +328,6 @@ class AlgebraElement(_Element):
 
     def _product(self, other):
         return self.algebra.product(self, other)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def max_raise(self):
         return max((r for r, _ in self.terms), default=0)

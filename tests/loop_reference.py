@@ -16,6 +16,13 @@ import numpy as np
 from qhopf.fock import (SectorOperator, _ladder_amps, _OhSinghAmplitude, _RMatrixAmplitude,
                         _structure_values, sector_states)
 
+# the errstates a caller may set: every flag but underflow raising, one flag
+# raising at a time, and none
+ERRSTATES = [{"all": "raise", "under": "ignore"},
+             {"over": "raise", "invalid": "ignore", "under": "ignore"},
+             {"over": "ignore", "invalid": "raise", "under": "ignore"},
+             {"all": "ignore"}]
+
 
 def represent_tensor(t, params, m_max):
     """SectorOperator of a tensor element on sectors 0..m_max, state by state."""
@@ -95,10 +102,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def outcome(build, errstate=None):
+def outcome(build, errstate):
     """The blocks ``build()`` returns, or the type and message of what it
-    raises, under ``np.errstate(**errstate)`` (the CLI's by default)."""
-    errstate = errstate or {"all": "raise", "under": "ignore"}
+    raises, under ``np.errstate(**errstate)``."""
     try:
         with np.errstate(**errstate):
             return build().blocks, None

@@ -713,6 +713,14 @@ _OS_XI_UNDERFLOW = ("verify-rmatrix", "--eps=1e-300", "--alpha=1e-300", "--beta=
 _SPLIT_POWER_OVERFLOW = ("verify-rmatrix", "--kappa1=-2.32535e-99",
                          "--kappa2=1.69722+2.70554i", "--gamma1=0.671604",
                          "--g0=1.84942e+27-4.89756e-174i", "--k=64", "--max-sector=2")
+# pack Y, in both forms: |R_0| = 1.7e149, so the Yang-Baxter products of
+# sector 0, R_0^3 on each side, overflow
+_YBE_PRODUCT_OVERFLOW = ("verify-rmatrix", "--kappa1=-0.0745781237769294",
+                         "--kappa2=-0.42589270053138506", "--gamma1=-1.2106133673175101",
+                         "--g0=0.7225437676161257", "--k=3", "--max-sector=0")
+_OS_YBE_PRODUCT_OVERFLOW = ("verify-rmatrix", "--eps=0.3728951528894232",
+                            "--alpha=1.5266854539189634", "--beta=1.4201522791584473",
+                            "--k=-5", "--oh-singh", "--max-sector=0")
 # an R prefactor exponent that is not finite, which cmath.exp refuses
 _R_PREFACTOR_EXPONENT = ("verify-rmatrix", "--kappa1=-5.197e-302", "--kappa2=0-0.961336i",
                          "--g0=3.01422", "--gamma1=4.92384e+296", "--gamma2=-2.82046",
@@ -724,8 +732,8 @@ _LAMBDA_POWER_ZERO = ("verify-rmatrix", "--kappa1=1.5413e-34-2.93859e-294i",
                       "--max-sector=12")
 _LAMBDA_POWER_RANGE = ("verify-rmatrix", "--kappa1=2.63588-1.72322i", "--kappa2=2.58303",
                        "--gamma1=-2.22072", "--k=-4", "--g0=0.300762", "--max-sector=8")
-# the quantity or block that each refusal names, not a bare "math domain
-# error", errno tuple or numpy flag
+# the quantity, block or check that each refusal names, not a bare "math
+# domain error", errno tuple or numpy flag
 _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
                        _A0_OVERFLOW: "A(0) = xi*gamma1 - eta*gamma2 = ",
                        _B0_OVERFLOW: "B(0) = xi*gamma2 + eta*gamma1 = ",
@@ -733,7 +741,9 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
                        _OS_PI_SQUARE_OVERFLOW: "((2k+1)pi/(2 eps))^2 = (",
                        _OS_BETA_SQUARE_OVERFLOW: "(beta+1/2)^2 = (1e+156)**2 ",
                        _OS_XI_UNDERFLOW: "xi = alpha*eps = 1e-300*1e-300 underflows to 0)",
-                       _SPLIT_POWER_OVERFLOW: "the sector 0 block of coproduct(adag)^2: ",
+                       _SPLIT_POWER_OVERFLOW: "check coproduct-split-right[M=2] has residual inf)",
+                       _YBE_PRODUCT_OVERFLOW: "check yang-baxter[M=0] has residual inf)",
+                       _OS_YBE_PRODUCT_OVERFLOW: "check yang-baxter[M=0] has residual inf)",
                        _R_PREFACTOR_EXPONENT: "-kappa*(0+gamma)*(0+gamma) = (",
                        _LAMBDA_POWER_ZERO: "lambda^(-2n) = (",
                        _LAMBDA_POWER_RANGE: "lambda^(-2n) = ("}
@@ -778,8 +788,11 @@ _OUT_OF_RANGE_NAMES = {_KAPPA_GAMMA_OVERFLOW: "kappa*gamma = ",
     (_R_PREFACTOR_EXPONENT, {}),
     (_LAMBDA_POWER_ZERO, {}),
     (_LAMBDA_POWER_RANGE, {}),
-    # and an overflow in a coproduct split by operator and sector
+    # and a product inside a check that leaves double range, by check and
+    # sector: a coproduct split, and the Yang-Baxter products in both forms
     (_SPLIT_POWER_OVERFLOW, {}),
+    (_YBE_PRODUCT_OVERFLOW, {}),
+    (_OS_YBE_PRODUCT_OVERFLOW, {}),
 ])
 def test_extreme_packs_exit_two_without_traceback(argv, env):
     # a pack that is not finite, an antidifference that cannot close, a

@@ -35,7 +35,6 @@ def test_build_params_derived_scalars():
     p = build_params(0.5, 0.1, 0.7, 1.0)
     assert p.branch == "generic"
     assert p.x == pytest.approx(cmath.exp(0.2))
-    assert p.y == pytest.approx(cmath.exp(0.3))
     assert p.lambda_sq == pytest.approx(-math.sinh(0.2) / math.sinh(0.28))
 
 

@@ -14,7 +14,7 @@ from qhopf.cli import main
 from qhopf.fock import (SectorOperator, _blocks_from_amplitude, _coproduct_splits,
                         _embedded, _OhSinghAmplitude, _rel_residual, _RMatrixAmplitude)
 from qhopf.hopf import HopfOscillator, TensorElement
-from loop_reference import amplitude
+from loop_reference import ERRSTATES, amplitude
 from series_reference import series_tensor_terms, split_prefactor
 
 
@@ -451,13 +451,74 @@ def test_overflowing_blocks_give_strict_json(capsys):
 
 
 def test_non_finite_residual_is_refused_not_reported():
-    # G(0) = -1e308 makes the series amplitudes overflow to inf in the
-    # library, with numpy warnings silenced: the check raises instead of
-    # reporting an inf residual
+    # G(0) = -1e308 makes the series amplitudes overflow to inf, with numpy
+    # warnings silenced: the check refuses the R block that is not finite
+    # instead of reporting an inf residual
     xi = 0.5 - 2e-12
     p = build_params(0.5, 2e-12, complex(2e-12, -math.pi / (2 * xi)), -1e308)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="residual"):
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^the sector 2 block of R is not finite$"):
         check_quasitriangularity(p, 2)
+
+
+# the pack of test_cli's _R_BLOCK_OVERFLOW, whose sector 2 R block overflows
+# in a product of finite factors, and pack Y, whose R_0 of 1.7e149 makes the
+# Yang-Baxter products R_0^3 of sector 0 overflow
+_XI_Y = -0.0745781237769294 + 0.42589270053138506
+ERRSTATE_PACKS = {
+    "R-block-overflow": build_params(-4.47292, -0.0136611 + 0.977599j, -0.0169257,
+                                     1.69292e201 - 2.72052e189j),
+    "Y": build_params(-0.0745781237769294, -0.42589270053138506,
+                      complex(-1.2106133673175101, 7 * math.pi / (2 * _XI_Y)),
+                      0.7225437676161257),
+    "generic-real": build_params(0.5, 0.1, 0.7, 1.0)}
+
+
+def _bits(value):
+    """What a sector-layer call gives, as comparable values: the bytes of
+    every block, and each check's name, status and residual."""
+    if isinstance(value, SectorOperator):
+        return {m: b.tobytes() for m, b in value.blocks.items()}
+    if isinstance(value, CheckReport):
+        return [c.to_dict() for c in value.checks], _bits(getattr(value, "rmatrix", None))
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("pack", sorted(ERRSTATE_PACKS))
+@pytest.mark.parametrize("m_max", [1, 4, 10])
+def test_sector_layer_outcome_does_not_depend_on_errstate(pack, m_max):
+    # each call gives the same blocks, residuals or refusal under every
+    # errstate, numpy's default included, and warns nothing
+    p = ERRSTATE_PACKS[pack]
+    alg = HopfOscillator(p)
+    calls = {
+        "build_rmatrix": lambda: build_rmatrix(p, m_max),
+        "represent_tensor": lambda: [represent_tensor(alg.coproduct(h), p, m_max)
+                                     for h in (alg.lowering(), alg.raising(), alg.number_op())],
+        "check_quasitriangularity": lambda: check_quasitriangularity(p, m_max),
+        "check_yang_baxter": lambda: check_yang_baxter(build_rmatrix(p, m_max), m_max),
+        "compare_sector_operators": lambda: compare_sector_operators(
+            build_rmatrix(p, m_max), build_rmatrix(p, m_max, 1.01 * p.lambda_sq))}
+    outcomes = []
+    for errstate in [*ERRSTATES, {}]:
+        got = {}
+        for name, call in calls.items():
+            with warnings.catch_warnings(), np.errstate(**errstate):
+                warnings.simplefilter("error")
+                try:
+                    got[name] = _bits(call())
+                except (ArithmeticError, ValueError) as exc:
+                    got[name] = type(exc), str(exc)
+        outcomes.append(got)
+    assert all(got == outcomes[0] for got in outcomes[1:])
+    if pack == "R-block-overflow" and m_max >= 2:
+        assert outcomes[0]["build_rmatrix"] == (
+            FloatingPointError, "the sector 2 block of R is not finite")
+    if pack == "Y":
+        assert outcomes[0]["check_yang_baxter"] == (
+            FloatingPointError, "check yang-baxter[M=0] has residual inf")
 
 
 def test_report_refuses_a_non_finite_residual():

@@ -17,6 +17,7 @@ from qhopf import (OhSinghParams, build_params, check_quasitriangularity, check_
 from qhopf import fock
 from qhopf.fock import _blocks_from_amplitude, _coproduct_splits, _RMatrixAmplitude
 from qhopf.hopf import HopfOscillator
+from loop_reference import ERRSTATES
 import sector_reference as ref
 
 PACKS = {"generic-real": build_params(0.5, 0.1, 0.7, 1.0),
@@ -114,13 +115,6 @@ def test_three_leg_blocks_do_not_outlive_their_sector():
     assert rep.passed and ybe.passed
     assert peak < 24e6
     assert set(vars(rep.rmatrix)) == {"legs", "degree", "blocks"}
-
-
-# the errstates: the CLI's, one flag raising at a time, and none
-ERRSTATES = [{"all": "raise", "under": "ignore"},
-             {"over": "raise", "invalid": "ignore", "under": "ignore"},
-             {"over": "ignore", "invalid": "raise", "under": "ignore"},
-             {"all": "ignore"}]
 
 
 def outcome(splits, errstate):

@@ -12,7 +12,7 @@ from qhopf.hopf import AntipodeWeights, HopfParams
 from qhopf.report import TOOL_VERSION, CheckResult
 
 FIELDS = {
-    HopfParams: ("kappa1", "kappa2", "gamma", "g0", "branch", "kappa", "x", "y", "lambda_sq"),
+    HopfParams: ("kappa1", "kappa2", "gamma", "g0", "branch", "kappa", "x", "lambda_sq"),
     CoproductWeights: ("raise_right", "raise_left", "lower_right", "lower_left"),
     AntipodeWeights: ("raising", "lowering"),
     HermiticityInput: ("xi", "eta", "gamma1", "gamma2"),
